@@ -9,7 +9,6 @@ parameter sets optimized in alternation.
 from .data import (
     Dataset,
     LabelPartition,
-    Sample,
     SynthConfig,
     corrupt_labels,
     generate_synthetic,
@@ -36,7 +35,6 @@ __all__ = [
     "LabelPartition",
     "ModelConfig",
     "MultiTaskNet",
-    "Sample",
     "SynthConfig",
     "Tensor",
     "TrainConfig",

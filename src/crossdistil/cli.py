@@ -9,6 +9,9 @@ Subcommands::
     crossdistil corrupt-sweep --config cfg.json [--ratios 0.1,0.5,0.9] [--out DIR]
     crossdistil sweep         --config cfg.json --param alpha --grid 0,0.5,1 [--out DIR]
 
+``sweep --param`` takes ``margin``, ``beta1``, ``beta2`` or ``alpha``; the
+last three set the parameter of both tasks.
+
 The config file is JSON with sections ``data`` (either ``{"path": ...}`` or
 ``{"synthetic": {...}}``), ``split`` (``{"fractions": [0.8, 0.1, 0.1]}`` or
 ``{"column": true}``), ``model``, ``train`` (with nested ``hyper``), and
@@ -22,12 +25,11 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import training
 from .data import (
     Dataset,
     SynthConfig,
@@ -40,22 +42,17 @@ from .data import (
 )
 from .errors import ConfigError, CrossDistilError
 from .model import ModelConfig
-from .training import TrainConfig, VARIANTS, evaluate, load_checkpoint, save_checkpoint, train
+from .training import VARIANTS, TrainConfig, config_from_dict, evaluate, load_checkpoint, save_checkpoint, train
 
 log = logging.getLogger(__name__)
 
-ABLATION_VARIANTS = (
-    "crossdistil",
-    "no_auxiliary_rank",
-    "no_calibration",
-    "no_correction",
-    "kd_same_task",
-    "kd_cross_task_direct",
-    "taug",
-    "backbone",
-)
-
-SWEEP_PARAMS = ("m", "margin", "beta1", "beta2", "alpha")
+# sweep parameter -> the HyperParams fields it sets
+SWEEP_PARAMS = {
+    "margin": ("margin",),
+    "beta1": ("beta1_a", "beta1_b"),
+    "beta2": ("beta2_a", "beta2_b"),
+    "alpha": ("alpha_a", "alpha_b"),
+}
 
 
 @dataclass(frozen=True)
@@ -73,18 +70,14 @@ class RunConfig:
         return {
             "data": (
                 {"path": self.data_path} if self.data_path is not None
-                else {"synthetic": {k: getattr(self.synth, k) for k in SynthConfig.__dataclass_fields__}}
+                else {"synthetic": asdict(self.synth)}
             ),
             "split": (
                 {"fractions": list(self.split_fractions)} if self.split_fractions is not None
                 else {"column": True}
             ),
-            "model": {
-                **{k: getattr(self.model, k) for k in ModelConfig.__dataclass_fields__},
-                "hidden_sizes": list(self.model.hidden_sizes),
-                "tower_hidden": list(self.model.tower_hidden),
-            },
-            "train": training._config_dict(self.train),
+            "model": asdict(self.model),
+            "train": asdict(self.train),
             "seeds": list(self.seeds),
         }
 
@@ -103,13 +96,9 @@ def _build_run_config(raw: dict) -> RunConfig:
     else:
         fractions = tuple(split.get("fractions", [0.8, 0.1, 0.1]))
 
-    model_raw = dict(raw.get("model", {}))
-    for key in ("hidden_sizes", "tower_hidden"):
-        if key in model_raw:
-            model_raw[key] = tuple(model_raw[key])
-    model = ModelConfig(**model_raw)
+    model = ModelConfig(**raw.get("model", {}))
 
-    train_cfg = training.config_from_dict(raw.get("train", {}))
+    train_cfg = config_from_dict(raw.get("train", {}))
     seeds = tuple(int(s) for s in raw.get("seeds", [0, 1, 2]))
     if not seeds:
         raise ConfigError("config needs at least one seed")
@@ -165,7 +154,9 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
 
     ``corrupt=(task, ratio)`` rewrites that task's labels in the training
     split only. When ``out_dir`` is given, writes metrics.jsonl, final.ckpt,
-    and summary.json there.
+    and summary.json there. ``resume`` continues from a checkpoint, which
+    must have been trained with this run's configuration; only ``steps``
+    and ``eval_interval`` may differ.
     """
     derived = _derived_seeds(seed)
     train_ds, valid_ds, test_ds, _ = prepare_datasets(run, seed)
@@ -173,19 +164,17 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
         task, ratio = corrupt
         train_ds = corrupt_labels(train_ds, task, ratio, np.random.default_rng(derived["data"] + 1))
 
-    model_cfg = ModelConfig(**{
-        **{k: getattr(run.model, k) for k in ModelConfig.__dataclass_fields__},
-        "seed": derived["model"],
-    })
-    cfg = training.config_from_dict({
-        **training._config_dict(run.train),
-        "seed": derived["train"],
-        "variant": variant or run.train.variant,
-    })
+    if variant not in (None, run.train.variant) and run.train.variant == "no_auxiliary_rank":
+        raise ConfigError("config train.variant no_auxiliary_rank zeroes the ranking betas, so no other "
+                          "variant can run from this config; pass --variant no_auxiliary_rank instead")
+    model_cfg = replace(run.model, seed=derived["model"])
+    cfg = replace(run.train, seed=derived["train"], variant=variant or run.train.variant)
 
     state = None
     if resume is not None:
-        state, _ = load_checkpoint(resume)
+        state, saved_cfg = load_checkpoint(resume)
+        _check_resume(resume, {"train": asdict(saved_cfg), "model": asdict(state.net.cfg)},
+                      {"train": asdict(cfg), "model": asdict(model_cfg)})
     state, history = train(train_ds, valid_ds, model_cfg, cfg, state=state)
     test_metrics = evaluate(state.net, state.calibration, test_ds)
 
@@ -202,10 +191,21 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
             for record in history:
-                fh.write(json.dumps({**record, "config": None}) + "\n")
+                fh.write(json.dumps(record) + "\n")
         save_checkpoint(out_dir / "final.ckpt", state, cfg)
         _write_json(out_dir / "summary.json", summary)
     return summary, history
+
+
+def _check_resume(path, saved: dict, wanted: dict, prefix: str = "") -> None:
+    """Raise naming the first config field in which a checkpoint differs from
+    the run resuming it; ``steps`` and ``eval_interval`` may differ."""
+    for key, value in wanted.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            _check_resume(path, saved[key], value, f"{name}.")
+        elif name not in ("train.steps", "train.eval_interval") and saved[key] != value:
+            raise ConfigError(f"--resume {path}: checkpoint has {name}={saved[key]!r}, this run has {value!r}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -221,9 +221,13 @@ def _write_resolved_config(out_dir: Path, run: RunConfig, extra: dict | None = N
     _write_json(out_dir / "config.resolved.json", payload)
 
 
-def _mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def _seed_stats(summaries: list[dict], metrics) -> dict[str, float]:
+    """Mean and standard deviation over seeds of each named test metric."""
+    out = {}
+    for m in metrics:
+        arr = np.asarray([s["metrics"][m] for s in summaries], dtype=np.float64)
+        out[f"{m}_mean"], out[f"{m}_std"] = float(arr.mean()), float(arr.std())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +266,13 @@ def cmd_ablate(run: RunConfig, out_dir: Path | None) -> list[dict]:
     """Run the full variant set with shared seeds; report deltas vs crossdistil."""
     rows = []
     per_variant: dict[str, list[dict]] = {}
-    for variant in ABLATION_VARIANTS:
+    for variant in VARIANTS:
         per_variant[variant] = [run_single(run, seed, variant=variant)[0] for seed in run.seeds]
     base = {
         m: float(np.mean([s["metrics"][m] for s in per_variant["crossdistil"]]))
         for m in _TABLE_METRICS
     }
-    for variant in ABLATION_VARIANTS:
+    for variant in VARIANTS:
         row = {"variant": variant}
         for m in _TABLE_METRICS:
             row[m] = float(np.mean([s["metrics"][m] for s in per_variant[variant]]))
@@ -276,11 +280,7 @@ def cmd_ablate(run: RunConfig, out_dir: Path | None) -> list[dict]:
         rows.append(row)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        header = ["variant"] + [k for k in rows[0] if k != "variant"]
-        with open(out_dir / "table.csv", "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row[k]) if k == "variant" else repr(row[k]) for k in header) + "\n")
+        _write_csv(out_dir / "table.csv", rows)
         _write_json(out_dir / "ablate_summary.json", {"rows": rows, "seeds": list(run.seeds)})
         _write_resolved_config(out_dir, run)
     return rows
@@ -302,59 +302,37 @@ def cmd_corrupt_sweep(run: RunConfig, ratios, out_dir: Path | None,
             run_single(run, seed, corrupt=(corrupt_task, ratio))[0]
             for seed in run.seeds
         ]
-        row = {"ratio": ratio, "n_seeds": len(run.seeds)}
-        for metric in (f"auc_{target}_student", f"multi_auc_{target}_student"):
-            mean, std = _mean_std([s["metrics"][metric] for s in summaries])
-            row[f"{metric}_mean"] = mean
-            row[f"{metric}_std"] = std
-        rows.append(row)
+        rows.append({"ratio": ratio, "n_seeds": len(run.seeds),
+                     **_seed_stats(summaries, (f"auc_{target}_student", f"multi_auc_{target}_student"))})
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_curve_csv(out_dir / "curve_corruption.csv", rows)
+        _write_csv(out_dir / "curve_corruption.csv", rows)
         _write_resolved_config(out_dir, run, {"ratios": list(ratios), "corrupt_task": corrupt_task})
     return rows
-
-
-def _sweep_hyper(run: RunConfig, param: str, value: float) -> RunConfig:
-    overrides = {
-        "m": {"margin": value},
-        "margin": {"margin": value},
-        "beta1": {"beta1_a": value, "beta1_b": value},
-        "beta2": {"beta2_a": value, "beta2_b": value},
-        "alpha": {"alpha_a": value, "alpha_b": value},
-    }[param]
-    cfg_dict = training._config_dict(run.train)
-    cfg_dict["hyper"].update(overrides)
-    new_train = training.config_from_dict(cfg_dict)
-    return RunConfig(run.data_path, run.synth, run.split_fractions, run.model, new_train, run.seeds)
 
 
 def cmd_sweep(run: RunConfig, param: str, grid, out_dir: Path | None) -> list[dict]:
     """One training run per grid value (shared seeds); duplicates are dropped."""
     if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+        raise ConfigError(f"sweep param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if not grid:
         raise ConfigError("sweep grid is empty")
-    seen = set()
-    values = [v for v in grid if not (v in seen or seen.add(v))]
+    values = list(dict.fromkeys(grid))
     rows = []
     for value in values:
-        sub_run = _sweep_hyper(run, param, value)
+        hyper = replace(run.train.hyper, **dict.fromkeys(SWEEP_PARAMS[param], value))
+        sub_run = replace(run, train=replace(run.train, hyper=hyper))
         summaries = [run_single(sub_run, seed)[0] for seed in run.seeds]
-        row = {"value": value, "n_seeds": len(run.seeds)}
-        for metric in ("multi_auc_a_student", "multi_auc_b_student"):
-            mean, std = _mean_std([s["metrics"][metric] for s in summaries])
-            row[f"{metric}_mean"] = mean
-            row[f"{metric}_std"] = std
-        rows.append(row)
+        rows.append({"value": value, "n_seeds": len(run.seeds),
+                     **_seed_stats(summaries, ("multi_auc_a_student", "multi_auc_b_student"))})
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_curve_csv(out_dir / f"curve_{param}.csv", rows)
+        _write_csv(out_dir / f"curve_{param}.csv", rows)
         _write_resolved_config(out_dir, run, {"param": param, "grid": list(values)})
     return rows
 
 
-def _write_curve_csv(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
     header = list(rows[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -419,16 +397,13 @@ def main(argv=None) -> int:
             summary = cmd_train(run, out, seed, args.variant,
                                 Path(args.resume) if args.resume else None)
             print(json.dumps(summary["metrics"], indent=2, sort_keys=True))
-        elif args.command == "ablate":
-            rows = cmd_ablate(run, out)
-            for row in rows:
-                print(json.dumps(row, sort_keys=True))
-        elif args.command == "corrupt-sweep":
-            rows = cmd_corrupt_sweep(run, args.ratios, out)
-            for row in rows:
-                print(json.dumps(row, sort_keys=True))
-        elif args.command == "sweep":
-            rows = cmd_sweep(run, args.param, args.grid, out)
+        else:
+            if args.command == "ablate":
+                rows = cmd_ablate(run, out)
+            elif args.command == "corrupt-sweep":
+                rows = cmd_corrupt_sweep(run, args.ratios, out)
+            else:
+                rows = cmd_sweep(run, args.param, args.grid, out)
             for row in rows:
                 print(json.dumps(row, sort_keys=True))
     except CrossDistilError as e:

@@ -21,15 +21,6 @@ SPLIT_TAGS = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One record: categorical ids per field plus the two binary labels."""
-
-    field_ids: tuple[int, ...]
-    y_a: int
-    y_b: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable column store of samples.
 
@@ -85,9 +76,6 @@ class Dataset:
     def n_fields(self) -> int:
         return len(self.field_names)
 
-    def sample(self, i: int) -> Sample:
-        return Sample(tuple(int(v) for v in self.field_ids[i]), int(self.y_a[i]), int(self.y_b[i]))
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
@@ -113,16 +101,9 @@ class LabelPartition:
     any_pos: np.ndarray  # y_b=1
     any_neg: np.ndarray  # y_b=0
 
-    def base_subsets(self) -> dict[str, np.ndarray]:
-        return {
-            "pos_pos": self.pos_pos,
-            "pos_neg": self.pos_neg,
-            "neg_pos": self.neg_pos,
-            "neg_neg": self.neg_neg,
-        }
-
     def sizes(self) -> dict[str, int]:
-        return {name: arr.size for name, arr in self.base_subsets().items()}
+        """Sizes of the four base subsets."""
+        return {name: getattr(self, name).size for name in ("pos_pos", "pos_neg", "neg_pos", "neg_neg")}
 
 
 @dataclass(frozen=True)
@@ -139,7 +120,6 @@ class QuadrupletBatch:
 class PairBatch:
     """Bootstrap draws from a positive union and its matching negative union."""
 
-    task: str
     pos: np.ndarray
     neg: np.ndarray
 
@@ -185,11 +165,7 @@ def sample_pairs(part: LabelPartition, task: str, batch_size: int, rng: np.rando
         pos, neg, pn, nn = part.any_pos, part.any_neg, "any_pos", "any_neg"
     else:
         raise ConfigError(f"sample_pairs: unknown task {task!r}")
-    return PairBatch(
-        task=task,
-        pos=_draw(pos, pn, batch_size, rng),
-        neg=_draw(neg, nn, batch_size, rng),
-    )
+    return PairBatch(pos=_draw(pos, pn, batch_size, rng), neg=_draw(neg, nn, batch_size, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -13,33 +13,28 @@ from .errors import ConfigError, UndefinedMetricError
 PROB_EPS = 1e-12
 
 
-def auc(scores, labels, ties: str = "half") -> float:
+def auc(scores, labels) -> float:
     """Area under the ROC curve for binary labels.
 
-    ``ties="half"`` gives tied score pairs 0.5 credit (the standard
-    Mann-Whitney estimator); ``ties="strict"`` counts only strictly ordered
-    pairs. Uses a sort instead of pair enumeration, but sums the same
-    integer pair counts, so it matches brute force exactly.
+    Tied score pairs get 0.5 credit (the standard Mann-Whitney estimator).
+    Uses a sort instead of pair enumeration, but sums the same integer pair
+    counts, so it matches brute force exactly.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ConfigError(f"auc: {s.shape[0]} scores vs {y.shape[0]} labels")
-    if ties not in ("half", "strict"):
-        raise ConfigError(f"auc: unknown tie mode {ties!r}")
     pos = s[y == 1]
     negs = np.sort(s[y == 0])
     if pos.size == 0 or negs.size == 0:
         raise UndefinedMetricError("auc needs at least one positive and one negative")
     lo = np.searchsorted(negs, pos, side="left")
     wins = int(lo.sum())
-    if ties == "strict":
-        return wins / (pos.size * negs.size)
     tied = int((np.searchsorted(negs, pos, side="right") - lo).sum())
     return (wins + 0.5 * tied) / (pos.size * negs.size)
 
 
-def multi_auc(scores, classes, n_classes: int, ties: str = "half") -> float:
+def multi_auc(scores, classes, n_classes: int) -> float:
     """Multipartite ranking quality over ordered classes 0 < 1 < ... < c-1.
 
     Prevalence-weighted average of the one-vs-one AUCs: each class pair
@@ -69,7 +64,7 @@ def multi_auc(scores, classes, n_classes: int, ties: str = "half") -> float:
             if counts[k] == 0:
                 continue
             mask = (c == j) | (c == k)
-            pair_auc = auc(s[mask], (c[mask] == k).astype(np.int64), ties=ties)
+            pair_auc = auc(s[mask], (c[mask] == k).astype(np.int64))
             w = (counts[j] + counts[k]) / total
             acc += w * pair_auc
             weight_sum += w

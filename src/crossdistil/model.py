@@ -11,7 +11,7 @@ another head's tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -223,16 +223,7 @@ class MultiTaskNet:
 
     def state_dict(self) -> dict:
         return {
-            "config": {
-                "embedding_dim": self.cfg.embedding_dim,
-                "backbone": self.cfg.backbone,
-                "hidden_sizes": list(self.cfg.hidden_sizes),
-                "tower_hidden": list(self.cfg.tower_hidden),
-                "n_experts": self.cfg.n_experts,
-                "activation": self.cfg.activation,
-                "init_scale": self.cfg.init_scale,
-                "seed": self.cfg.seed,
-            },
+            "config": asdict(self.cfg),
             "vocab_sizes": list(self.vocab_sizes),
             "field_names": list(self.field_names),
             "params": {name: t.values.tolist() for name, t in self.named_parameters()},
@@ -240,11 +231,7 @@ class MultiTaskNet:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "MultiTaskNet":
-        raw = dict(state["config"])
-        raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
-        raw["tower_hidden"] = tuple(raw["tower_hidden"])
-        cfg = ModelConfig(**raw)
-        net = cls(cfg, state["vocab_sizes"], state["field_names"])
+        net = cls(ModelConfig(**state["config"]), state["vocab_sizes"], state["field_names"])
         params = dict(net.named_parameters())
         saved = state["params"]
         if set(saved) != set(params):

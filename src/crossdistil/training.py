@@ -3,6 +3,19 @@ teacher and student losses, then a calibration-parameter step on the Platt
 cross-entropy, alternating every iteration. Also hosts the ablation-variant
 wiring, evaluation, and checkpoint IO.
 
+The variants, in the order of the paper's ablation table:
+
+- ``crossdistil``: the full method (ranking teachers, calibration, correction, KD).
+- ``no_auxiliary_rank``: w/o auxiliary ranking; crossdistil with zero betas.
+- ``no_calibration``: w/o calibration; KD from the raw teacher logits.
+- ``no_correction``: w/o error correction of the KD targets.
+- ``kd_same_task``: vanilla KD from a same-task teacher trained with plain CE.
+- ``kd_cross_task_direct``: direct cross-task KD from the other task's student.
+- ``taug``: task augmentation; ranking teachers on the shared backbone, no KD.
+- ``backbone``: the two students alone.
+
+``TrainConfig`` zeroes ``beta1_*``/``beta2_*`` for ``no_auxiliary_rank``.
+
 Sampling uses three independent RNG streams (record batch, quadruplets,
 pairs) spawned from the seed, so variants that skip a sampler still see the
 same record batches step for step.
@@ -12,7 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,13 +50,13 @@ log = logging.getLogger(__name__)
 
 VARIANTS = (
     "crossdistil",
-    "taug",
-    "backbone",
+    "no_auxiliary_rank",
     "no_calibration",
     "no_correction",
-    "no_auxiliary_rank",
     "kd_same_task",
     "kd_cross_task_direct",
+    "taug",
+    "backbone",
 )
 
 TASKS = ("a", "b")
@@ -74,6 +87,9 @@ class TrainConfig:
             raise ConfigError("eval_interval must be at least 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.variant == "no_auxiliary_rank":
+            object.__setattr__(self, "hyper", replace(
+                self.hyper, beta1_a=0.0, beta2_a=0.0, beta1_b=0.0, beta2_b=0.0))
 
 
 @dataclass(frozen=True)
@@ -83,21 +99,19 @@ class VariantWiring:
     rank_teachers: bool  # teacher heads trained with the quadruplet ranking loss
     regression_teachers: bool  # teacher heads trained with plain CE (vanilla-KD setup)
     distill: str  # "teacher", "cross_student", or "off"
-    calibrated: bool  # Platt-scale teacher logits before distilling
+    calibrated: bool  # fit Platt parameters each iteration and calibrate the KD targets
     corrected: bool  # clamp distillation targets toward the hard labels
-    fit_calibration: bool  # run the calibration sub-step each iteration
-    zero_rank_betas: bool  # drop the fine-grained terms of the ranking loss
 
 
 _WIRING = {
-    "crossdistil": VariantWiring(True, False, "teacher", True, True, True, False),
-    "taug": VariantWiring(True, False, "off", False, False, False, False),
-    "backbone": VariantWiring(False, False, "off", False, False, False, False),
-    "no_calibration": VariantWiring(True, False, "teacher", False, True, False, False),
-    "no_correction": VariantWiring(True, False, "teacher", True, False, True, False),
-    "no_auxiliary_rank": VariantWiring(True, False, "teacher", True, True, True, True),
-    "kd_same_task": VariantWiring(False, True, "teacher", False, False, False, False),
-    "kd_cross_task_direct": VariantWiring(False, False, "cross_student", False, False, False, False),
+    "crossdistil": VariantWiring(True, False, "teacher", True, True),
+    "no_auxiliary_rank": VariantWiring(True, False, "teacher", True, True),
+    "no_calibration": VariantWiring(True, False, "teacher", False, True),
+    "no_correction": VariantWiring(True, False, "teacher", True, False),
+    "kd_same_task": VariantWiring(False, True, "teacher", False, False),
+    "kd_cross_task_direct": VariantWiring(False, False, "cross_student", False, False),
+    "taug": VariantWiring(True, False, "off", False, False),
+    "backbone": VariantWiring(False, False, "off", False, False),
 }
 
 
@@ -239,30 +253,20 @@ def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
     records = state.rng_records.integers(0, n_train, size=b)
     quads = pairs_a = pairs_b = None
     if wiring.rank_teachers:
-        betas = (0.0,) if wiring.zero_rank_betas else (
-            cfg.hyper.beta1_a, cfg.hyper.beta2_a, cfg.hyper.beta1_b, cfg.hyper.beta2_b)
-        if any(v > 0 for v in betas):
+        if any(v > 0 for task in TASKS for v in cfg.hyper.beta(task)):
             quads = sample_quadruplets(part, b, state.rng_quads)
         pairs_a = sample_pairs(part, "a", b, state.rng_pairs)
         pairs_b = sample_pairs(part, "b", b, state.rng_pairs)
     return StepBatch(records, quads, pairs_a, pairs_b)
 
 
-def _teacher_head(heads: HeadLogits, task: str) -> Tensor:
-    return heads.r_a_plus if task == "a" else heads.r_b_plus
-
-
-def _student_head(heads: HeadLogits, task: str) -> Tensor:
-    return heads.r_a if task == "a" else heads.r_b
-
-
 def _distill_target(state: TrainState, wiring: VariantWiring, h: HyperParams,
                     heads: HeadLogits, labels: np.ndarray, task: str) -> np.ndarray:
     """Detached soft-label logits for one task's student, per the wiring."""
     if wiring.distill == "cross_student":
-        source = _student_head(heads, "b" if task == "a" else "a")
+        source = heads.head("b" if task == "a" else "a")
     else:
-        source = _teacher_head(heads, task)
+        source = heads.head(f"{task}_plus")
     values = source.values.copy()
     if wiring.calibrated:
         values = state.calibration.calibrate_values(values, task)
@@ -282,44 +286,39 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: StepBatch,
     labels = {"a": ds.y_a[batch.records], "b": ds.y_b[batch.records]}
     heads = state.net.forward(ids)
 
+    teacher_losses: dict[str, Tensor] = {}
     if wiring.rank_teachers:
         quad_heads = None
         if batch.quads is not None:
-            quad_heads = {
-                name: state.net.forward(ds.field_ids[getattr(batch.quads, name)])
+            quad_heads = [
+                state.net.forward(ds.field_ids[getattr(batch.quads, name)])
                 for name in ("pos_pos", "pos_neg", "neg_pos", "neg_neg")
-            }
+            ]
         for task, pairs in (("a", batch.pairs_a), ("b", batch.pairs_b)):
-            beta1, beta2 = (0.0, 0.0) if wiring.zero_rank_betas else h.beta(task)
-            pos = _teacher_head(state.net.forward(ds.field_ids[pairs.pos]), task)
-            neg = _teacher_head(state.net.forward(ds.field_ids[pairs.neg]), task)
+            teacher = f"{task}_plus"
+            pos = state.net.forward(ds.field_ids[pairs.pos]).head(teacher)
+            neg = state.net.forward(ds.field_ids[pairs.neg]).head(teacher)
             if quad_heads is None:
                 loss = L.bpr_loss(pos, neg)
             else:
                 loss = L.quadruplet_loss(
-                    task,
-                    _teacher_head(quad_heads["pos_pos"], task),
-                    _teacher_head(quad_heads["pos_neg"], task),
-                    _teacher_head(quad_heads["neg_pos"], task),
-                    _teacher_head(quad_heads["neg_neg"], task),
-                    pos, neg, beta1, beta2,
-                )
-            components[f"teacher_{task}"] = loss.item()
-            terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
+                    task, *(q.head(teacher) for q in quad_heads), pos, neg, *h.beta(task))
+            teacher_losses[task] = loss
     elif wiring.regression_teachers:
         for task in TASKS:
-            loss = L.ce_from_logits(labels[task], _teacher_head(heads, task))
-            components[f"teacher_{task}"] = loss.item()
-            terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
+            teacher_losses[task] = L.ce_from_logits(labels[task], heads.head(f"{task}_plus"))
+    for task, loss in teacher_losses.items():
+        components[f"teacher_{task}"] = loss.item()
+        terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
 
     for task in TASKS:
         alpha = h.alpha(task) if wiring.distill != "off" else 0.0
         kd = None
         if alpha > 0:
             target = _distill_target(state, wiring, h, heads, labels[task], task)
-            kd = L.kd_loss(target, _student_head(heads, task), h.temperature)
+            kd = L.kd_loss(target, heads.head(task), h.temperature)
             components[f"kd_{task}"] = kd.item()
-        loss = L.student_loss(labels[task], _student_head(heads, task), kd, alpha)
+        loss = L.student_loss(labels[task], heads.head(task), kd, alpha)
         components[f"student_{task}"] = loss.item()
         terms.append((h.weight_a if task == "a" else h.weight_b, loss))
 
@@ -365,7 +364,7 @@ def train_step(state: TrainState, ds: Dataset, part: LabelPartition,
     batch = sample_step_batch(state, part, len(ds), cfg, wiring)
     try:
         components = model_loss_step(state, ds, batch, cfg, wiring)
-        if wiring.fit_calibration:
+        if wiring.calibrated:
             components["calibration"] = calibration_step(state, ds, batch)
     except NumericError as e:
         raise TrainingAborted(f"step {state.step + 1}: {e}") from e
@@ -454,13 +453,6 @@ def train(train_ds: Dataset, eval_ds: Dataset, model_cfg: ModelConfig, cfg: Trai
 CHECKPOINT_VERSION = 1
 
 
-def _config_dict(cfg: TrainConfig) -> dict:
-    d = {k: getattr(cfg, k) for k in (
-        "gamma1", "gamma2", "optimizer", "batch_size", "steps", "eval_interval", "seed", "variant")}
-    d["hyper"] = {k: getattr(cfg.hyper, k) for k in HyperParams.__dataclass_fields__}
-    return d
-
-
 def config_from_dict(d: dict) -> TrainConfig:
     d = dict(d)
     hyper = HyperParams(**d.pop("hyper", {}))
@@ -472,7 +464,7 @@ def save_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
         "step": state.step,
-        "train_config": _config_dict(cfg),
+        "train_config": asdict(cfg),
         "model": state.net.state_dict(),
         "calibration": state.calibration.state_dict(),
         "opt_model": state.opt_model.state_dict(),

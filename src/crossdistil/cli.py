@@ -143,6 +143,11 @@ def prepare_datasets(run: RunConfig, seed: int) -> tuple[Dataset, Dataset, Datas
         train_ds, valid_ds, test_ds = split_by_column(ds)
     else:
         train_ds, valid_ds, test_ds = split_dataset(ds, run.split_fractions, derived["split"])
+    for name, split in (("valid", valid_ds), ("test", test_ds)):
+        for task, y in (("a", split.y_a), ("b", split.y_b)):
+            if y.all() or not y.any():
+                raise ConfigError(f"the {name} split has {int(y.sum())} positives in {len(y)} rows for task "
+                                  f"{task}; its AUC needs at least one positive and one negative")
     return train_ds, valid_ds, test_ds, utilities
 
 
@@ -182,7 +187,7 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
         "seed": seed,
         "variant": cfg.variant,
         "steps": state.step,
-        "config": run.to_dict(),
+        "config": replace(run, model=model_cfg, train=cfg).to_dict(),
         "corrupt": None if corrupt is None else {"task": corrupt[0], "ratio": corrupt[1]},
         "metrics": test_metrics,
     }
@@ -255,7 +260,8 @@ def cmd_train(run: RunConfig, out_dir: Path | None, seed: int,
               variant: str | None, resume: Path | None) -> dict:
     summary, _ = run_single(run, seed, variant=variant, out_dir=out_dir, resume=resume)
     if out_dir is not None:
-        _write_resolved_config(out_dir, run, {"seed": seed, "variant": summary["variant"]})
+        _write_json(out_dir / "config.resolved.json",
+                    {**summary["config"], "seed": seed, "variant": summary["variant"]})
     return summary
 
 

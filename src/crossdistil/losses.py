@@ -96,13 +96,6 @@ class CalibrationParams:
         rho, q = self.pair(task)
         return np.exp(rho.item()) * np.asarray(raw, dtype=np.float64) - q.item()
 
-    def state_dict(self) -> dict:
-        return {name: t.item() for name, t in self.named_parameters()}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "CalibrationParams":
-        return cls(state["cal.rho_a"], state["cal.q_a"], state["cal.rho_b"], state["cal.q_b"])
-
 
 def _as_column(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)

@@ -11,7 +11,7 @@ another head's tower.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,26 +219,3 @@ class MultiTaskNet:
         }
         return HeadLogits(logits["a"], logits["b"], logits["a_plus"], logits["b_plus"])
 
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "config": asdict(self.cfg),
-            "vocab_sizes": list(self.vocab_sizes),
-            "field_names": list(self.field_names),
-            "params": {name: t.values.tolist() for name, t in self.named_parameters()},
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "MultiTaskNet":
-        net = cls(ModelConfig(**state["config"]), state["vocab_sizes"], state["field_names"])
-        params = dict(net.named_parameters())
-        saved = state["params"]
-        if set(saved) != set(params):
-            raise ConfigError("checkpoint parameter names do not match the model")
-        for name, t in params.items():
-            arr = np.asarray(saved[name], dtype=np.float64)
-            if arr.shape != t.values.shape:
-                raise ConfigError(f"checkpoint shape mismatch for {name}: {arr.shape} vs {t.values.shape}")
-            t.values[...] = arr
-        return net

@@ -19,12 +19,19 @@ The variants, in the order of the paper's ablation table:
 Sampling uses three independent RNG streams (record batch, quadruplets,
 pairs) spawned from the seed, so variants that skip a sampler still see the
 same record batches step for step.
+
+A checkpoint is one uncompressed ``.npz``: every float64 array of the state
+under its own name, plus a JSON ``header`` member with everything else (see
+``save_checkpoint``). Floats round-trip bit for bit. Only this module knows
+the format.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -129,8 +136,6 @@ def apply_variant(variant: str) -> VariantWiring:
 class Sgd:
     """Plain gradient descent with optional L2 weight decay folded into the grad."""
 
-    kind = "sgd"
-
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
         self.named_params = list(named_params)
         self.lr = lr
@@ -143,17 +148,9 @@ class Sgd:
                 g = g + self.weight_decay * p.values
             p.values -= self.lr * g
 
-    def state_dict(self) -> dict:
-        return {"kind": self.kind}
-
-    def load_state_dict(self, state: dict):
-        pass
-
 
 class Adam:
     """Adam with bias correction; weight decay is classic L2 added to the grad."""
-
-    kind = "adam"
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -180,20 +177,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t": self.t,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict):
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k][...] = np.asarray(state["m"][k])
-            self.v[k][...] = np.asarray(state["v"][k])
 
 
 def make_optimizer(kind: str, named_params, lr: float, weight_decay: float = 0.0):
@@ -222,7 +205,11 @@ class TrainState:
 
 
 def init_state(model_cfg: ModelConfig, dataset: Dataset, cfg: TrainConfig) -> TrainState:
-    net = MultiTaskNet(model_cfg, dataset.vocab_sizes, dataset.field_names)
+    return _build_state(model_cfg, dataset.vocab_sizes, dataset.field_names, cfg)
+
+
+def _build_state(model_cfg: ModelConfig, vocab_sizes, field_names, cfg: TrainConfig) -> TrainState:
+    net = MultiTaskNet(model_cfg, vocab_sizes, field_names)
     cal = CalibrationParams()
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     return TrainState(
@@ -432,6 +419,12 @@ def train(train_ds: Dataset, eval_ds: Dataset, model_cfg: ModelConfig, cfg: Trai
     wiring = apply_variant(cfg.variant)
     if state is None:
         state = init_state(model_cfg, train_ds, cfg)
+    else:
+        built, data = ([(f, int(v)) for f, v in zip(x.field_names, x.vocab_sizes)]
+                       for x in (state.net, train_ds))
+        if built != data:
+            raise ConfigError(f"the state to resume was built for fields and vocabulary sizes {built}, "
+                              f"the training data has {data}")
     history: list[dict] = []
     if state.step == 0:
         history.append({"step": 0, "train": {}, "eval": evaluate(state.net, state.calibration, eval_ds)})
@@ -450,7 +443,9 @@ def train(train_ds: Dataset, eval_ds: Dataset, model_cfg: ModelConfig, cfg: Trai
 # checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+HEADER = "header"  # the npz member holding the JSON header; array names all contain a dot
+RNG_STREAMS = ("records", "quads", "pairs")
 
 
 def config_from_dict(d: dict) -> TrainConfig:
@@ -459,46 +454,72 @@ def config_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(hyper=hyper, **d)
 
 
+def _adams(state: TrainState) -> dict[str, Adam]:
+    opts = {"opt_model": state.opt_model, "opt_calibration": state.opt_calibration}
+    return {part: opt for part, opt in opts.items() if isinstance(opt, Adam)}
+
+
+def _state_arrays(state: TrainState) -> dict[str, np.ndarray]:
+    """Every float64 array of a state under its checkpoint name, as live buffers."""
+    params = state.net.named_parameters() + state.calibration.named_parameters()
+    arrays = {name: t.values for name, t in params}
+    for part, opt in _adams(state).items():
+        for slot in ("m", "v"):
+            arrays.update((f"{part}.{slot}.{name}", a) for name, a in getattr(opt, slot).items())
+    return arrays
+
+
 def save_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
-    """Serialize the full training state as JSON; floats round-trip exactly."""
-    payload = {
+    """Write the full training state to exactly ``path`` as one uncompressed npz.
+
+    Arrays are stored as raw float64 bytes: the net and Platt parameters
+    under their ``named_parameters()`` names (``emb.user``, ``tower.a.0.w``,
+    ``cal.rho_a``, ...) and each Adam moment as ``opt_model.m.<name>``,
+    ``opt_calibration.v.<name>`` and so on. The ``header`` member is a JSON
+    string with ``version``, ``step``, ``train_config``, ``model_config``,
+    ``vocab_sizes``, ``field_names``, ``adam_t`` (each Adam's step count)
+    and ``rng`` (the three bit-generator states). Arrays and the JSON floats
+    (shortest repr) both round-trip bit for bit.
+    """
+    header = {
         "version": CHECKPOINT_VERSION,
         "step": state.step,
         "train_config": asdict(cfg),
-        "model": state.net.state_dict(),
-        "calibration": state.calibration.state_dict(),
-        "opt_model": state.opt_model.state_dict(),
-        "opt_calibration": state.opt_calibration.state_dict(),
-        "rng": {
-            "records": state.rng_records.bit_generator.state,
-            "quads": state.rng_quads.bit_generator.state,
-            "pairs": state.rng_pairs.bit_generator.state,
-        },
+        "model_config": asdict(state.net.cfg),
+        "vocab_sizes": list(state.net.vocab_sizes),
+        "field_names": list(state.net.field_names),
+        "adam_t": {part: opt.t for part, opt in _adams(state).items()},
+        "rng": {key: getattr(state, f"rng_{key}").bit_generator.state for key in RNG_STREAMS},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    text = io.StringIO()
+    json.dump(header, text)  # dump/load, not dumps/loads: bench/layertrace.py times these
+    with open(path, "wb") as fh:  # a file object, so numpy appends no ".npz" to the path
+        np.savez(fh, **{HEADER: np.array(text.getvalue())}, **_state_arrays(state))
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('version')!r}")
-    cfg = config_from_dict(payload["train_config"])
-    net = MultiTaskNet.from_state_dict(payload["model"])
-    cal = CalibrationParams.from_state_dict(payload["calibration"])
-    opt_model = make_optimizer(cfg.optimizer, net.named_parameters(), cfg.gamma1, cfg.hyper.weight_decay)
-    opt_model.load_state_dict(payload["opt_model"])
-    opt_cal = make_optimizer(cfg.optimizer, cal.named_parameters(), cfg.gamma2, 0.0)
-    opt_cal.load_state_dict(payload["opt_calibration"])
-    rngs = []
-    for key in ("records", "quads", "pairs"):
-        gen = np.random.default_rng(0)
-        gen.bit_generator.state = payload["rng"][key]
-        rngs.append(gen)
-    state = TrainState(
-        net=net, calibration=cal, opt_model=opt_model, opt_calibration=opt_cal,
-        step=int(payload["step"]),
-        rng_records=rngs[0], rng_quads=rngs[1], rng_pairs=rngs[2],
-    )
+    """Rebuild the state as ``init_state`` does, then copy each saved array in by name."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as saved:
+            header = json.load(io.StringIO(str(saved[HEADER])))
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ConfigError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+            cfg = config_from_dict(header["train_config"])
+            state = _build_state(ModelConfig(**header["model_config"]), header["vocab_sizes"],
+                                 header["field_names"], cfg)
+            arrays = _state_arrays(state)
+            if diff := sorted(set(saved.files) ^ {HEADER, *arrays}):
+                raise ConfigError(f"{path}: checkpoint and model arrays differ in {diff[:3]}")
+            for name, dst in arrays.items():
+                src = saved[name]
+                if src.shape != dst.shape:
+                    raise ConfigError(f"{path}: array {name} has shape {src.shape}, the model needs {dst.shape}")
+                dst[...] = src
+            for part, opt in _adams(state).items():
+                opt.t = int(header["adam_t"][part])
+            for key in RNG_STREAMS:
+                getattr(state, f"rng_{key}").bit_generator.state = header["rng"][key]
+            state.step = int(header["step"])
+    except (OSError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"cannot read {path} as a version-{CHECKPOINT_VERSION} checkpoint: {e}") from None
     return state, cfg

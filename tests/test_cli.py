@@ -1,13 +1,16 @@
-"""Smoke tests of the command line on a tiny config: output files, resume
-checks, ablation row order, and exit code 2 on bad input."""
+"""Smoke tests of the command line on a tiny config: output files, the
+recorded config, resume checks, ablation row order, and exit code 2 on bad
+input."""
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
 from crossdistil.cli import main
-from crossdistil.training import VARIANTS
+from crossdistil.model import ModelConfig
+from crossdistil.training import VARIANTS, load_checkpoint
 
 CONFIG = {
     "data": {"synthetic": {"n_users": 20, "n_items": 20, "n_samples": 600}},
@@ -18,8 +21,10 @@ CONFIG = {
 }
 
 
-def write_config(path, **train):
-    path.write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], **train}}), encoding="utf-8")
+def write_config(path, users=20, fractions=(0.6, 0.2, 0.2), **train):
+    synthetic = {**CONFIG["data"]["synthetic"], "n_users": users, "n_items": users}
+    path.write_text(json.dumps({**CONFIG, "data": {"synthetic": synthetic}, "split": {"fractions": fractions},
+                                "train": {**CONFIG["train"], **train}}), encoding="utf-8")
     return str(path)
 
 
@@ -51,6 +56,46 @@ def test_resume_checks_the_checkpoint_config(tmp_path, config, capsys):
     assert "train.variant" in capsys.readouterr().err
     assert main(["train", "--config", write_config(tmp_path / "adam.json", optimizer="adam"), "--resume", ckpt]) == 2
     assert "train.optimizer" in capsys.readouterr().err
+
+
+def test_recorded_config_is_the_trained_config(tmp_path, config):
+    out = tmp_path / "run"
+    assert main(["train", "--config", config, "--variant", "no_auxiliary_rank", "--out", str(out)]) == 0
+    state, cfg = load_checkpoint(out / "final.ckpt")
+    resolved = json.loads((out / "config.resolved.json").read_text(encoding="utf-8"))
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert resolved["train"] == summary["config"]["train"] == asdict(cfg)
+    assert resolved["model"] == summary["config"]["model"]
+    assert ModelConfig(**resolved["model"]) == state.net.cfg
+    assert cfg.variant == "no_auxiliary_rank" and cfg.hyper.beta1_a == 0.0 and cfg.seed != 0
+
+
+def test_resume_rejects_unreadable_checkpoints(tmp_path, config, capsys):
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_text(json.dumps({"version": 1, "step": 4, "model": {}}), encoding="utf-8")
+    for ckpt in (tmp_path / "missing.ckpt", tmp_path / "cfg.json", v1):
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--resume", str(ckpt)]) == 2, ckpt
+        assert str(ckpt) in capsys.readouterr().err
+
+
+def test_resume_rejects_a_checkpoint_of_other_data(tmp_path, config, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", config, "--out", str(out)]) == 0
+    smaller = write_config(tmp_path / "smaller.json", users=10, steps=6)
+    capsys.readouterr()
+    more = tmp_path / "more"
+    assert main(["train", "--config", smaller, "--resume", str(out / "final.ckpt"), "--out", str(more)]) == 2
+    assert "vocabulary sizes" in capsys.readouterr().err
+    assert not more.exists()
+
+
+def test_split_without_both_classes_exits_2_before_training(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path / "c.json", fractions=(0.8, 0.2, 0.0)),
+                 "--out", str(out)]) == 2
+    assert "test split" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
 
 
 def test_ablate_rows_in_variant_order(tmp_path, config):

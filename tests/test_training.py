@@ -1,6 +1,7 @@
-"""Training-loop tests: resume is exact, and the bi-level invariants hold (the
-calibration step never moves model parameters; the KD term never sends
-gradient to the teacher towers or the Platt parameters)."""
+"""Training-loop tests: checkpoints round-trip bit for bit, resume is exact,
+and the bi-level invariants hold (the calibration step never moves model
+parameters; the KD term never sends gradient to the teacher towers or the
+Platt parameters)."""
 
 import json
 from dataclasses import asdict, replace
@@ -10,6 +11,7 @@ import pytest
 
 from crossdistil import training as T
 from crossdistil.data import SynthConfig, generate_synthetic, partition, split_dataset
+from crossdistil.errors import ConfigError
 from crossdistil.losses import HyperParams
 from crossdistil.model import BACKBONES, ModelConfig
 
@@ -27,6 +29,57 @@ def datasets():
 def param_bytes(state):
     params = state.net.named_parameters() + state.calibration.named_parameters()
     return [(name, t.values.tobytes()) for name, t in params]
+
+
+def adam_slots(state):
+    """Step count and moment bytes of each Adam optimizer of a state."""
+    return [
+        (opt.t, [(slot, name, a.tobytes()) for slot in ("m", "v") for name, a in getattr(opt, slot).items()])
+        for opt in (state.opt_model, state.opt_calibration) if isinstance(opt, T.Adam)
+    ]
+
+
+def rng_states(state):
+    return [getattr(state, f"rng_{key}").bit_generator.state for key in ("records", "quads", "pairs")]
+
+
+@pytest.mark.parametrize("optimizer", ("sgd", "adam"))
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_checkpoint_roundtrip_bit_exact(datasets, tmp_path, backbone, optimizer):
+    model_cfg = ModelConfig(backbone=backbone, **MODEL)
+    cfg = T.TrainConfig(gamma1=0.05, optimizer=optimizer, batch_size=16, steps=3, eval_interval=3, seed=8)
+    state, _ = T.train(*datasets, model_cfg, cfg)
+    path = tmp_path / "run.json"  # written to exactly this path, whatever its suffix
+    T.save_checkpoint(path, state, cfg)
+    loaded, loaded_cfg = T.load_checkpoint(path)
+
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    assert loaded_cfg == cfg and loaded.net.cfg == model_cfg and loaded.step == state.step == 3
+    assert param_bytes(loaded) == param_bytes(state)
+    assert adam_slots(loaded) == adam_slots(state)
+    assert len(adam_slots(state)) == (2 if optimizer == "adam" else 0)
+    assert rng_states(loaded) == rng_states(state)
+    ids = datasets[1].field_ids[:8]
+    before, after = state.net.forward(ids), loaded.net.forward(ids)
+    for head in ("a", "b", "a_plus", "b_plus"):
+        assert before.head(head).values.tobytes() == after.head(head).values.tobytes(), head
+
+
+@pytest.mark.parametrize("damage", ("drop", "reshape"))
+def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage):
+    cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=1, seed=8)
+    path = tmp_path / "run.ckpt"
+    T.save_checkpoint(path, T.train(*datasets, ModelConfig(**MODEL), cfg)[0], cfg)
+    with np.load(path) as z:
+        arrays = dict(z)
+    if damage == "drop":
+        del arrays["opt_model.v.tower.b.0.w"]
+    else:
+        arrays["emb.user"] = arrays["emb.user"][:-1]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigError, match="opt_model.v.tower.b.0.w" if damage == "drop" else "emb.user"):
+        T.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("optimizer", ("sgd", "adam"))

@@ -14,14 +14,13 @@ from .data import (
     generate_synthetic,
     load_csv,
     partition,
-    sample_pairs,
-    sample_quadruplets,
+    sample,
     save_csv,
     split_dataset,
 )
 from .losses import CalibrationParams, HyperParams
 from .metrics import auc, class_of, logloss, multi_auc
-from .model import HeadLogits, ModelConfig, MultiTaskNet
+from .model import ModelConfig, MultiTaskNet
 from .numgrad import Tensor, backward, no_grad
 from .training import TrainConfig, TrainState, evaluate, init_state, train, train_step
 
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationParams",
     "Dataset",
-    "HeadLogits",
     "HyperParams",
     "LabelPartition",
     "ModelConfig",
@@ -51,8 +49,7 @@ __all__ = [
     "multi_auc",
     "no_grad",
     "partition",
-    "sample_pairs",
-    "sample_quadruplets",
+    "sample",
     "save_csv",
     "split_dataset",
     "train",

@@ -1,6 +1,7 @@
 """Command-line entry point and experiment harness.
 
-Subcommands::
+Subcommands, as ``crossdistil`` after an install or as ``python -m crossdistil``
+from a checkout with ``src`` on ``PYTHONPATH``::
 
     crossdistil gen-data      --config cfg.json --out DIR [--seed N]
     crossdistil train         --config cfg.json [--seed N] [--out DIR]
@@ -100,8 +101,8 @@ def _build_run_config(raw: dict) -> RunConfig:
 
     train_cfg = config_from_dict(raw.get("train", {}))
     seeds = tuple(int(s) for s in raw.get("seeds", [0, 1, 2]))
-    if not seeds:
-        raise ConfigError("config needs at least one seed")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"config seeds must be a nonempty list of nonnegative integers, got {list(seeds)}")
     return RunConfig(path, synth, fractions, model, train_cfg, seeds)
 
 
@@ -113,9 +114,11 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object, not {type(raw).__name__}")
     try:
         return _build_run_config(raw)
-    except TypeError as e:
+    except (TypeError, ValueError, AttributeError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -300,10 +303,10 @@ def cmd_corrupt_sweep(run: RunConfig, ratios, out_dir: Path | None,
     other (target) task's student on the untouched test split.
     """
     target = "a" if corrupt_task == "b" else "b"
+    if not ratios or not all(0.0 <= ratio <= 1.0 for ratio in ratios):
+        raise ConfigError(f"corruption ratios must be a nonempty list of values in [0, 1], got {ratios}")
     rows = []
     for ratio in ratios:
-        if not 0.0 <= ratio <= 1.0:
-            raise ConfigError(f"corruption ratio {ratio} outside [0, 1]")
         summaries = [
             run_single(run, seed, corrupt=(corrupt_task, ratio))[0]
             for seed in run.seeds
@@ -324,9 +327,9 @@ def cmd_sweep(run: RunConfig, param: str, grid, out_dir: Path | None) -> list[di
     if not grid:
         raise ConfigError("sweep grid is empty")
     values = list(dict.fromkeys(grid))
+    hypers = [replace(run.train.hyper, **dict.fromkeys(SWEEP_PARAMS[param], value)) for value in values]
     rows = []
-    for value in values:
-        hyper = replace(run.train.hyper, **dict.fromkeys(SWEEP_PARAMS[param], value))
+    for value, hyper in zip(values, hypers):
         sub_run = replace(run, train=replace(run.train, hyper=hyper))
         summaries = [run_single(sub_run, seed)[0] for seed in run.seeds]
         rows.append({"value": value, "n_seeds": len(run.seeds),
@@ -392,10 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # inside the try: a --ratios/--grid type error is a ConfigError
         run = load_run_config(args.config)
         seed = args.seed if args.seed is not None else run.seeds[0]
+        if seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
         out = Path(args.out) if args.out else None
         if args.command == "gen-data":
             cmd_gen_data(run, out, seed)

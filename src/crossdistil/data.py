@@ -2,6 +2,12 @@
 sampling of quadruplets and pairs, label corruption, and a synthetic
 correlated-feedback generator used by the end-to-end experiments.
 
+``QUADS`` names the four label-combination subsets and ``PAIRS`` each
+task's positive and negative union; these two tables are the only place
+the subset names are written. ``partition`` maps every name to its row
+indices and ``sample`` draws a bootstrap batch from any of them, keyed
+the same way.
+
 The canonical on-disk format is a plain CSV with integer feature ids:
 ``f_<name>,...,label_a,label_b`` (optionally a ``split`` column with values
 train/valid/test). Labels are strictly 0/1.
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateLabels
+from .errors import ConfigError, DataError, DegenerateLabels, require_ints
 from .numgrad import sigmoid_values as _sigmoid
 
 SPLIT_TAGS = ("train", "valid", "test")
@@ -88,84 +94,30 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class LabelPartition:
-    """Index sets for the four label combinations and their four unions."""
+QUADS = ("pos_pos", "pos_neg", "neg_pos", "neg_neg")  # (y_a, y_b) = (1,1), (1,0), (0,1), (0,0)
+PAIRS = {"a": ("pos_any", "neg_any"), "b": ("any_pos", "any_neg")}  # each task's positive, negative union
 
-    pos_pos: np.ndarray  # y_a=1, y_b=1
-    pos_neg: np.ndarray  # y_a=1, y_b=0
-    neg_pos: np.ndarray  # y_a=0, y_b=1
-    neg_neg: np.ndarray  # y_a=0, y_b=0
-    pos_any: np.ndarray  # y_a=1
-    neg_any: np.ndarray  # y_a=0
-    any_pos: np.ndarray  # y_b=1
-    any_neg: np.ndarray  # y_b=0
-
-    def sizes(self) -> dict[str, int]:
-        """Sizes of the four base subsets."""
-        return {name: getattr(self, name).size for name in ("pos_pos", "pos_neg", "neg_pos", "neg_neg")}
-
-
-@dataclass(frozen=True)
-class QuadrupletBatch:
-    """Per-step bootstrap draws, one index array per base subset."""
-
-    pos_pos: np.ndarray
-    pos_neg: np.ndarray
-    neg_pos: np.ndarray
-    neg_neg: np.ndarray
-
-
-@dataclass(frozen=True)
-class PairBatch:
-    """Bootstrap draws from a positive union and its matching negative union."""
-
-    pos: np.ndarray
-    neg: np.ndarray
+LabelPartition = dict[str, np.ndarray]  # subset name in QUADS or PAIRS -> sample indices
 
 
 def partition(ds: Dataset) -> LabelPartition:
-    """Split sample indices by the combination of the two labels."""
+    """Split sample indices by the combination of the two labels, and by each label alone."""
     a = ds.y_a == 1
     b = ds.y_b == 1
     idx = np.arange(len(ds), dtype=np.int64)
-    return LabelPartition(
-        pos_pos=idx[a & b],
-        pos_neg=idx[a & ~b],
-        neg_pos=idx[~a & b],
-        neg_neg=idx[~a & ~b],
-        pos_any=idx[a],
-        neg_any=idx[~a],
-        any_pos=idx[b],
-        any_neg=idx[~b],
-    )
+    rows = (idx[a & b], idx[a & ~b], idx[~a & b], idx[~a & ~b], idx[a], idx[~a], idx[b], idx[~b])
+    return dict(zip(QUADS + PAIRS["a"] + PAIRS["b"], rows))
 
 
-def _draw(pool: np.ndarray, name: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    if pool.size == 0:
-        raise DegenerateLabels(f"label subset '{name}' is empty")
-    return pool[rng.integers(0, pool.size, size=size)]
-
-
-def sample_quadruplets(part: LabelPartition, batch_size: int, rng: np.random.Generator) -> QuadrupletBatch:
-    """Uniform draws with replacement from each of the four base subsets."""
-    return QuadrupletBatch(
-        pos_pos=_draw(part.pos_pos, "pos_pos", batch_size, rng),
-        pos_neg=_draw(part.pos_neg, "pos_neg", batch_size, rng),
-        neg_pos=_draw(part.neg_pos, "neg_pos", batch_size, rng),
-        neg_neg=_draw(part.neg_neg, "neg_neg", batch_size, rng),
-    )
-
-
-def sample_pairs(part: LabelPartition, task: str, batch_size: int, rng: np.random.Generator) -> PairBatch:
-    """Uniform draws with replacement from the task's positive/negative unions."""
-    if task == "a":
-        pos, neg, pn, nn = part.pos_any, part.neg_any, "pos_any", "neg_any"
-    elif task == "b":
-        pos, neg, pn, nn = part.any_pos, part.any_neg, "any_pos", "any_neg"
-    else:
-        raise ConfigError(f"sample_pairs: unknown task {task!r}")
-    return PairBatch(pos=_draw(pos, pn, batch_size, rng), neg=_draw(neg, nn, batch_size, rng))
+def sample(part: LabelPartition, names, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform draws with replacement from each named subset, in the order given."""
+    out = {}
+    for name in names:
+        pool = part[name]
+        if pool.size == 0:
+            raise DegenerateLabels(f"label subset '{name}' is empty")
+        out[name] = pool[rng.integers(0, pool.size, size=batch_size)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +132,11 @@ def load_csv(path) -> Dataset:
     rejected. Labels parse strictly as 0/1, ids as nonnegative integers, and
     malformed rows report their line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -308,6 +264,7 @@ class SynthConfig:
     utility_scale: float = 2.0
 
     def __post_init__(self):
+        require_ints(self, ("n_users", "n_items", "n_context_fields", "context_vocab", "latent_dim", "n_samples"))
         if not -1.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [-1, 1], got {self.rho}")
         for name in ("rate_a", "rate_b"):

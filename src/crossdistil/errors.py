@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of config fields."""
+
+from numbers import Integral
 
 
 class CrossDistilError(Exception):
@@ -19,6 +21,15 @@ class UsageError(CrossDistilError):
 
 class ConfigError(CrossDistilError):
     """A configuration value is outside its allowed range."""
+
+
+def require_ints(config, names) -> None:
+    """Raise naming the first of ``names`` whose value (or any entry of its list) is not an integer."""
+    for name in names:
+        value = getattr(config, name)
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
 
 
 class DataError(CrossDistilError):

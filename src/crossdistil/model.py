@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, require_ints
 from .numgrad import Tensor
 
 HEADS = ("a", "b", "a_plus", "b_plus")
@@ -35,6 +35,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, ("embedding_dim", "hidden_sizes", "tower_hidden", "n_experts", "seed"))
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
         if self.activation != "relu":
@@ -49,19 +50,6 @@ class ModelConfig:
             raise ConfigError("init_scale must be positive")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "tower_hidden", tuple(int(h) for h in self.tower_hidden))
-
-
-@dataclass(frozen=True)
-class HeadLogits:
-    """The four head outputs for one batch, each (B, 1)."""
-
-    r_a: Tensor
-    r_b: Tensor
-    r_a_plus: Tensor
-    r_b_plus: Tensor
-
-    def head(self, name: str) -> Tensor:
-        return getattr(self, f"r_{name}")
 
 
 def _linear_params(rng, fan_in: int, fan_out: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +190,8 @@ class MultiTaskNet:
         expanded = ng.matmul(weights, self._mix_expand)
         return ng.matmul(ng.mul(stacked, expanded), self._mix_reduce)
 
-    def forward(self, field_ids) -> HeadLogits:
-        """Compute all four head logits for a batch of id rows."""
+    def forward(self, field_ids) -> dict[str, Tensor]:
+        """Compute the (B, 1) logits of every head in ``HEADS`` for a batch of id rows."""
         ids = np.asarray(field_ids, dtype=np.int64)
         self._check_ids(ids)
         x = self._embed(ids)
@@ -213,9 +201,5 @@ class MultiTaskNet:
         else:
             mix = {task: self._mixture(x, task) for task in ("a", "b")}
             inputs = {"a": mix["a"], "a_plus": mix["a"], "b": mix["b"], "b_plus": mix["b"]}
-        logits = {
-            head: self._run_mlp(inputs[head], self.towers[head], final_linear=True)
-            for head in HEADS
-        }
-        return HeadLogits(logits["a"], logits["b"], logits["a_plus"], logits["b_plus"])
+        return {head: self._run_mlp(inputs[head], self.towers[head], final_linear=True) for head in HEADS}
 

@@ -16,9 +16,14 @@ The variants, in the order of the paper's ablation table:
 
 ``TrainConfig`` zeroes ``beta1_*``/``beta2_*`` for ``no_auxiliary_rank``.
 
-Sampling uses three independent RNG streams (record batch, quadruplets,
-pairs) spawned from the seed, so variants that skip a sampler still see the
-same record batches step for step.
+Each step samples a batch dict of row indices (``sample_step_batch``):
+``records``, then the four ``data.QUADS`` subsets when a quadruplet loss
+is on, then ``data.PAIRS["a"] + data.PAIRS["b"]`` for the ranking
+teachers. Every key is forwarded through the net, whose ``forward`` returns
+a dict of logits keyed by ``model.HEADS``. Sampling uses three independent
+RNG streams (records, quadruplets, pairs) spawned from the seed, so
+variants that skip a sampler still see the same record batches step for
+step.
 
 A checkpoint is one uncompressed ``.npz``: every float64 array of the state
 under its own name, plus a JSON ``header`` member with everything else (see
@@ -39,18 +44,10 @@ import numpy as np
 from . import losses as L
 from . import metrics as M
 from . import numgrad as ng
-from .data import (
-    Dataset,
-    LabelPartition,
-    PairBatch,
-    QuadrupletBatch,
-    partition,
-    sample_pairs,
-    sample_quadruplets,
-)
-from .errors import ConfigError, NumericError, TrainingAborted
+from .data import PAIRS, QUADS, Dataset, LabelPartition, partition, sample
+from .errors import ConfigError, NumericError, TrainingAborted, require_ints
 from .losses import CalibrationParams, HyperParams
-from .model import HeadLogits, ModelConfig, MultiTaskNet
+from .model import HEADS, ModelConfig, MultiTaskNet
 from .numgrad import Tensor
 
 log = logging.getLogger(__name__)
@@ -82,6 +79,7 @@ class TrainConfig:
     hyper: HyperParams = field(default_factory=HyperParams)
 
     def __post_init__(self):
+        require_ints(self, ("batch_size", "steps", "eval_interval", "seed"))
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ConfigError("learning rates must be positive")
         if self.optimizer not in ("sgd", "adam"):
@@ -224,37 +222,23 @@ def _build_state(model_cfg: ModelConfig, vocab_sizes, field_names, cfg: TrainCon
     )
 
 
-@dataclass(frozen=True)
-class StepBatch:
-    """Everything one iteration samples before touching the model."""
-
-    records: np.ndarray
-    quads: QuadrupletBatch | None
-    pairs_a: PairBatch | None
-    pairs_b: PairBatch | None
-
-
 def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
-                      cfg: TrainConfig, wiring: VariantWiring) -> StepBatch:
+                      cfg: TrainConfig, wiring: VariantWiring) -> dict[str, np.ndarray]:
+    """Everything one iteration samples before touching the model, by row-set name."""
     b = cfg.batch_size
-    records = state.rng_records.integers(0, n_train, size=b)
-    quads = pairs_a = pairs_b = None
+    batch = {"records": state.rng_records.integers(0, n_train, size=b)}
     if wiring.rank_teachers:
         if any(v > 0 for task in TASKS for v in cfg.hyper.beta(task)):
-            quads = sample_quadruplets(part, b, state.rng_quads)
-        pairs_a = sample_pairs(part, "a", b, state.rng_pairs)
-        pairs_b = sample_pairs(part, "b", b, state.rng_pairs)
-    return StepBatch(records, quads, pairs_a, pairs_b)
+            batch.update(sample(part, QUADS, b, state.rng_quads))
+        batch.update(sample(part, PAIRS["a"] + PAIRS["b"], b, state.rng_pairs))
+    return batch
 
 
 def _distill_target(state: TrainState, wiring: VariantWiring, h: HyperParams,
-                    heads: HeadLogits, labels: np.ndarray, task: str) -> np.ndarray:
+                    heads: dict[str, Tensor], labels: np.ndarray, task: str) -> np.ndarray:
     """Detached soft-label logits for one task's student, per the wiring."""
-    if wiring.distill == "cross_student":
-        source = heads.head("b" if task == "a" else "a")
-    else:
-        source = heads.head(f"{task}_plus")
-    values = source.values.copy()
+    source = ("b" if task == "a" else "a") if wiring.distill == "cross_student" else f"{task}_plus"
+    values = heads[source].values.copy()
     if wiring.calibrated:
         values = state.calibration.calibrate_values(values, task)
     if wiring.corrected:
@@ -262,38 +246,32 @@ def _distill_target(state: TrainState, wiring: VariantWiring, h: HyperParams,
     return values
 
 
-def model_loss_step(state: TrainState, ds: Dataset, batch: StepBatch,
+def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray],
                     cfg: TrainConfig, wiring: VariantWiring) -> dict[str, float]:
     """The model-parameter half of one iteration. Never touches calibration."""
     h = cfg.hyper
     components: dict[str, float] = {}
     terms: list[tuple[float, Tensor]] = []
 
-    ids = ds.field_ids[batch.records]
-    labels = {"a": ds.y_a[batch.records], "b": ds.y_b[batch.records]}
-    heads = state.net.forward(ids)
+    records = batch["records"]
+    labels = {"a": ds.y_a[records], "b": ds.y_b[records]}
+    heads = state.net.forward(ds.field_ids[records])
 
     teacher_losses: dict[str, Tensor] = {}
     if wiring.rank_teachers:
-        quad_heads = None
-        if batch.quads is not None:
-            quad_heads = [
-                state.net.forward(ds.field_ids[getattr(batch.quads, name)])
-                for name in ("pos_pos", "pos_neg", "neg_pos", "neg_neg")
-            ]
-        for task, pairs in (("a", batch.pairs_a), ("b", batch.pairs_b)):
+        quad_heads = [state.net.forward(ds.field_ids[batch[name]]) for name in QUADS if name in batch]
+        for task in TASKS:
             teacher = f"{task}_plus"
-            pos = state.net.forward(ds.field_ids[pairs.pos]).head(teacher)
-            neg = state.net.forward(ds.field_ids[pairs.neg]).head(teacher)
-            if quad_heads is None:
-                loss = L.bpr_loss(pos, neg)
+            # keep only the ranked teacher logit of each union forward, so the rest is freed at once
+            pos, neg = (state.net.forward(ds.field_ids[batch[name]])[teacher] for name in PAIRS[task])
+            if quad_heads:
+                loss = L.quadruplet_loss(task, *(q[teacher] for q in quad_heads), pos, neg, *h.beta(task))
             else:
-                loss = L.quadruplet_loss(
-                    task, *(q.head(teacher) for q in quad_heads), pos, neg, *h.beta(task))
+                loss = L.bpr_loss(pos, neg)
             teacher_losses[task] = loss
     elif wiring.regression_teachers:
         for task in TASKS:
-            teacher_losses[task] = L.ce_from_logits(labels[task], heads.head(f"{task}_plus"))
+            teacher_losses[task] = L.ce_from_logits(labels[task], heads[f"{task}_plus"])
     for task, loss in teacher_losses.items():
         components[f"teacher_{task}"] = loss.item()
         terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
@@ -303,9 +281,9 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: StepBatch,
         kd = None
         if alpha > 0:
             target = _distill_target(state, wiring, h, heads, labels[task], task)
-            kd = L.kd_loss(target, heads.head(task), h.temperature)
+            kd = L.kd_loss(target, heads[task], h.temperature)
             components[f"kd_{task}"] = kd.item()
-        loss = L.student_loss(labels[task], heads.head(task), kd, alpha)
+        loss = L.student_loss(labels[task], heads[task], kd, alpha)
         components[f"student_{task}"] = loss.item()
         terms.append((h.weight_a if task == "a" else h.weight_b, loss))
 
@@ -325,19 +303,16 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: StepBatch,
     return components
 
 
-def calibration_step(state: TrainState, ds: Dataset, batch: StepBatch) -> float:
+def calibration_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]) -> float:
     """The calibration half of one iteration. Never touches model parameters.
 
     Teacher logits are recomputed on the same record batch with the model
     held fixed, so the Platt fit always sees the post-update teacher.
     """
-    ids = ds.field_ids[batch.records]
+    records = batch["records"]
     with ng.no_grad():
-        heads = state.net.forward(ids)
-    loss = L.calibration_loss(
-        ds.y_a[batch.records], ds.y_b[batch.records],
-        heads.r_a_plus, heads.r_b_plus, state.calibration,
-    )
+        heads = state.net.forward(ds.field_ids[records])
+    loss = L.calibration_loss(ds.y_a[records], ds.y_b[records], heads["a_plus"], heads["b_plus"], state.calibration)
     state.calibration.zero_grad()
     ng.backward(loss)
     state.opt_calibration.step()
@@ -365,12 +340,11 @@ def train_step(state: TrainState, ds: Dataset, part: LabelPartition,
 
 
 def _forward_values(net: MultiTaskNet, ds: Dataset, chunk: int = 4096) -> dict[str, np.ndarray]:
-    cols: dict[str, list[np.ndarray]] = {h: [] for h in ("a", "b", "a_plus", "b_plus")}
+    cols: dict[str, list[np.ndarray]] = {h: [] for h in HEADS}
     with ng.no_grad():
         for start in range(0, len(ds), chunk):
-            heads = net.forward(ds.field_ids[start : start + chunk])
-            for name in cols:
-                cols[name].append(heads.head(name).values[:, 0])
+            for name, logits in net.forward(ds.field_ids[start : start + chunk]).items():
+                cols[name].append(logits.values[:, 0])
     return {name: np.concatenate(parts) if parts else np.zeros(0) for name, parts in cols.items()}
 
 
@@ -415,7 +389,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, model_cfg: ModelConfig, cfg: Trai
     if len(train_ds) == 0:
         raise ConfigError("training dataset is empty")
     part = partition(train_ds)
-    log.info("label subset sizes: %s", part.sizes())
+    log.info("label subset sizes: %s", {name: part[name].size for name in QUADS})
     wiring = apply_variant(cfg.variant)
     if state is None:
         state = init_state(model_cfg, train_ds, cfg)

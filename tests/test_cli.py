@@ -1,13 +1,18 @@
 """Smoke tests of the command line on a tiny config: output files, the
-recorded config, resume checks, ablation row order, and exit code 2 on bad
-input."""
+recorded config, resume checks, ablation row order, and exit code 2 with a
+one-line error on bad input."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from crossdistil import cli
 from crossdistil.cli import main
 from crossdistil.model import ModelConfig
 from crossdistil.training import VARIANTS, load_checkpoint
@@ -128,3 +133,79 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     bad.write_text('{"data": ', encoding="utf-8")
     assert main(["train", "--config", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys, *needles):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for needle in needles:
+        assert needle in lines[0]
+
+
+def test_missing_data_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "data": {"path": str(tmp_path / "missing.csv")}}), encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert_one_line_error(capsys, "missing.csv")
+
+
+def test_negative_seed_exits_2(config, capsys):
+    assert main(["train", "--config", config, "--seed", "-1"]) == 2
+    assert_one_line_error(capsys, "--seed", "-1")
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert_one_line_error(capsys, "JSON object")
+
+
+def test_unparsable_ratios_exit_2(config, capsys):
+    assert main(["corrupt-sweep", "--config", config, "--ratios", "abc"]) == 2
+    assert_one_line_error(capsys, "'abc'")
+
+
+def test_empty_ratio_list_exits_2(tmp_path, config, capsys):
+    out = tmp_path / "curve"
+    assert main(["corrupt-sweep", "--config", config, "--ratios", "", "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "ratios")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("train", "batch_size", 8.5),
+    ("train", "steps", 2.5),
+    ("train", "steps", True),
+    ("model", "hidden_sizes", [6.7]),
+    ("data", "n_users", 20.5),
+])
+def test_non_integer_config_field_exits_2_at_load(tmp_path, capsys, monkeypatch, section, name, value):
+    raw = json.loads(json.dumps(CONFIG))
+    (raw["data"]["synthetic"] if section == "data" else raw[section])[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", str(path)]) == 2
+    assert_one_line_error(capsys, name, "must be an integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["corrupt-sweep", "--ratios", "0.1,1.5"],
+    ["sweep", "--param", "alpha", "--grid", "0.5,1.5"],
+])
+def test_sweeps_check_the_whole_grid_before_the_first_run(config, capsys, monkeypatch, argv):
+    runs = []
+    monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: runs.append(args))
+    assert main([argv[0], "--config", config, *argv[1:]]) == 2
+    assert runs == []
+    assert_one_line_error(capsys, "1.5")
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "crossdistil", "train", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "--variant" in done.stdout

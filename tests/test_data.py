@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdistil.data import (
+    PAIRS,
+    QUADS,
     Dataset,
     SynthConfig,
     corrupt_labels,
     generate_synthetic,
     load_csv,
     partition,
-    sample_pairs,
-    sample_quadruplets,
+    sample,
     save_csv,
     split_by_column,
     split_dataset,
@@ -32,7 +33,7 @@ def make_dataset(labels, n_fields=2, vocab=7, seed=0):
 
 
 def assert_disjoint_cover(ds, part):
-    subsets = [part.pos_pos, part.pos_neg, part.neg_pos, part.neg_neg]
+    subsets = [part[name] for name in QUADS]
     merged = np.concatenate(subsets)
     assert merged.size == len(ds)
     assert np.array_equal(np.sort(merged), np.arange(len(ds)))
@@ -100,16 +101,17 @@ class TestPartition:
     def test_one_of_each(self):
         ds = make_dataset([(1, 1), (1, 0), (0, 1), (0, 0)])
         part = partition(ds)
-        assert part.sizes() == {"pos_pos": 1, "pos_neg": 1, "neg_pos": 1, "neg_neg": 1}
-        np.testing.assert_array_equal(np.sort(part.pos_any), [0, 1])
-        np.testing.assert_array_equal(np.sort(part.any_neg), [1, 3])
+        sizes = {name: part[name].size for name in QUADS}
+        assert sizes == {"pos_pos": 1, "pos_neg": 1, "neg_pos": 1, "neg_neg": 1}
+        np.testing.assert_array_equal(np.sort(part["pos_any"]), [0, 1])
+        np.testing.assert_array_equal(np.sort(part["any_neg"]), [1, 3])
         assert_disjoint_cover(ds, part)
 
     def test_all_negative(self):
         ds = make_dataset([(0, 0)] * 5)
         part = partition(ds)
-        assert part.neg_neg.size == 5
-        assert part.pos_pos.size == part.pos_neg.size == part.neg_pos.size == 0
+        assert part["neg_neg"].size == 5
+        assert part["pos_pos"].size == part["pos_neg"].size == part["neg_pos"].size == 0
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=200))
@@ -118,34 +120,34 @@ class TestPartition:
         part = partition(ds)
         assert_disjoint_cover(ds, part)
         np.testing.assert_array_equal(
-            np.sort(part.pos_any), np.sort(np.concatenate([part.pos_pos, part.pos_neg])))
+            np.sort(part["pos_any"]), np.sort(np.concatenate([part["pos_pos"], part["pos_neg"]])))
         np.testing.assert_array_equal(
-            np.sort(part.any_neg), np.sort(np.concatenate([part.neg_neg, part.pos_neg])))
+            np.sort(part["any_neg"]), np.sort(np.concatenate([part["neg_neg"], part["pos_neg"]])))
 
 
 class TestSamplers:
     def test_singleton_subsets_forced(self, rng):
         part = partition(make_dataset([(1, 1), (1, 0), (0, 1), (0, 0)]))
-        quads = sample_quadruplets(part, 5, rng)
-        assert set(quads.pos_pos) == {0}
-        assert set(quads.neg_neg) == {3}
+        quads = sample(part, QUADS, 5, rng)
+        assert set(quads["pos_pos"]) == {0}
+        assert set(quads["neg_neg"]) == {3}
 
     def test_empty_subset_names_it(self, rng):
         part = partition(make_dataset([(1, 0), (0, 1), (0, 0)]))
         with pytest.raises(DegenerateLabels, match="pos_pos"):
-            sample_quadruplets(part, 3, rng)
+            sample(part, QUADS, 3, rng)
 
     def test_pair_sampler_uses_unions(self, rng):
         ds = make_dataset([(1, 1), (1, 0), (0, 1), (0, 0)])
         part = partition(ds)
-        pairs = sample_pairs(part, "b", 64, rng)
-        assert set(pairs.pos) <= {0, 2}
-        assert set(pairs.neg) <= {1, 3}
+        pairs = sample(part, PAIRS["b"], 64, rng)
+        assert set(pairs["any_pos"]) <= {0, 2}
+        assert set(pairs["any_neg"]) <= {1, 3}
 
     def test_pair_sampler_empty_union(self, rng):
         part = partition(make_dataset([(0, 1), (0, 0)]))
         with pytest.raises(DegenerateLabels, match="pos_any"):
-            sample_pairs(part, "a", 3, rng)
+            sample(part, PAIRS["a"], 3, rng)
 
     @staticmethod
     def full_partition(n_pos_pos):
@@ -156,23 +158,23 @@ class TestSamplers:
         # 100 members, 1e5 draws: each frequency within 0.4% absolute of 1%
         part = self.full_partition(100)
         rng = np.random.default_rng(7)
-        draws = sample_quadruplets(part, 100_000, rng).pos_pos
+        draws = sample(part, QUADS, 100_000, rng)["pos_pos"]
         freq = np.bincount(draws, minlength=100)[:100] / draws.size
         assert np.abs(freq - 0.01).max() < 0.004
 
     def test_pair_frequencies_uniform(self):
         part = self.full_partition(99)  # pos_any then has 100 members
         rng = np.random.default_rng(8)
-        draws = sample_pairs(part, "a", 100_000, rng).pos
-        freq = np.bincount(draws, minlength=100)[part.pos_any] / draws.size
+        draws = sample(part, PAIRS["a"], 100_000, rng)["pos_any"]
+        freq = np.bincount(draws, minlength=100)[part["pos_any"]] / draws.size
         assert np.abs(freq - 0.01).max() < 0.004
 
     def test_sampling_reproducible(self):
         part = self.full_partition(50)
-        a = sample_quadruplets(part, 32, np.random.default_rng(3))
-        b = sample_quadruplets(part, 32, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.pos_pos, b.pos_pos)
-        np.testing.assert_array_equal(a.neg_neg, b.neg_neg)
+        a = sample(part, QUADS, 32, np.random.default_rng(3))
+        b = sample(part, QUADS, 32, np.random.default_rng(3))
+        np.testing.assert_array_equal(a["pos_pos"], b["pos_pos"])
+        np.testing.assert_array_equal(a["neg_neg"], b["neg_neg"])
 
 
 class TestSplitDataset:

@@ -156,7 +156,7 @@ class TestCalibrationLoss:
         y = rng.integers(0, 2, size=6)
         params = CalibrationParams()
         net.zero_grad()
-        ng.backward(calibration_loss(y, 1 - y, heads.r_a_plus, heads.r_b_plus, params))
+        ng.backward(calibration_loss(y, 1 - y, heads["a_plus"], heads["b_plus"], params))
         for name, p in net.named_parameters():
             assert np.all(p.grad == 0.0), name
         assert any(np.abs(p.grad).sum() > 0 for p in params.parameters())

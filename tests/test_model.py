@@ -63,7 +63,7 @@ class TestForward:
             p.values[...] = 0.0
         heads = net.forward(rng.integers(0, 3, size=(5, 3)))
         for name in HEADS:
-            np.testing.assert_array_equal(heads.head(name).values, np.zeros((5, 1)))
+            np.testing.assert_array_equal(heads[name].values, np.zeros((5, 1)))
 
     @pytest.mark.parametrize("backbone", ["shared_bottom", "gated_experts"])
     def test_duplicated_row_gives_identical_logits(self, backbone):
@@ -71,7 +71,7 @@ class TestForward:
         ids = np.tile([[1, 2, 0]], (8, 1))
         heads = net.forward(ids)
         for name in HEADS:
-            col = heads.head(name).values
+            col = heads[name].values
             np.testing.assert_array_equal(col, np.tile(col[:1], (8, 1)))
 
     @pytest.mark.parametrize("backbone", ["shared_bottom", "gated_experts"])
@@ -82,7 +82,7 @@ class TestForward:
         base = net.forward(ids)
         permuted = net.forward(ids[perm])
         for name in HEADS:
-            np.testing.assert_array_equal(permuted.head(name).values, base.head(name).values[perm])
+            np.testing.assert_array_equal(permuted[name].values, base[name].values[perm])
 
     def test_out_of_range_id_names_field(self):
         net = tiny_net()
@@ -95,7 +95,7 @@ class TestForward:
         ids = rng.integers(0, 3, size=(4, 3))
 
         def loss():
-            return ng.reduce_mean(net.forward(ids).r_a)
+            return ng.reduce_mean(net.forward(ids)["a"])
 
         net.zero_grad()
         ng.backward(loss())
@@ -113,7 +113,7 @@ class TestGradientIsolation:
         net = tiny_net(backbone=backbone)
         ids = rng.integers(0, 3, size=(6, 3))
         net.zero_grad()
-        ng.backward(ng.reduce_mean(net.forward(ids).r_a))
+        ng.backward(ng.reduce_mean(net.forward(ids)["a"]))
         for head in ("b", "a_plus", "b_plus"):
             for p in net.tower_parameters(head):
                 assert np.all(p.grad == 0.0)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from crossdistil import training as T
-from crossdistil.data import SynthConfig, generate_synthetic, partition, split_dataset
+from crossdistil.data import PAIRS, QUADS, SynthConfig, generate_synthetic, partition, split_dataset
 from crossdistil.errors import ConfigError
 from crossdistil.losses import HyperParams
-from crossdistil.model import BACKBONES, ModelConfig
+from crossdistil.model import BACKBONES, HEADS, ModelConfig
 
 MODEL = {"embedding_dim": 4, "hidden_sizes": (6,), "seed": 7}
 DISTILLING = [v for v in T.VARIANTS if T.apply_variant(v).distill != "off"]
@@ -61,8 +61,8 @@ def test_checkpoint_roundtrip_bit_exact(datasets, tmp_path, backbone, optimizer)
     assert rng_states(loaded) == rng_states(state)
     ids = datasets[1].field_ids[:8]
     before, after = state.net.forward(ids), loaded.net.forward(ids)
-    for head in ("a", "b", "a_plus", "b_plus"):
-        assert before.head(head).values.tobytes() == after.head(head).values.tobytes(), head
+    for head in HEADS:
+        assert before[head].values.tobytes() == after[head].values.tobytes(), head
 
 
 @pytest.mark.parametrize("damage", ("drop", "reshape"))
@@ -148,3 +148,21 @@ def test_no_auxiliary_rank_is_crossdistil_with_zero_betas():
     assert cfg.hyper.beta("a") == cfg.hyper.beta("b") == (0.0, 0.0)
     assert T.apply_variant("no_auxiliary_rank") == T.apply_variant("crossdistil")
     assert T.config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+
+@pytest.mark.parametrize("variant", T.VARIANTS)
+def test_each_variant_draws_its_row_sets(datasets, variant):
+    train_ds = datasets[0]
+    cfg = T.TrainConfig(batch_size=8, variant=variant, seed=3)
+    state = T.init_state(ModelConfig(**MODEL), train_ds, cfg)
+    quads_rng = state.rng_quads.bit_generator.state
+    batch = T.sample_step_batch(state, partition(train_ds), len(train_ds), cfg, T.apply_variant(variant))
+    pairs = [*PAIRS["a"], *PAIRS["b"]]
+    if variant in ("backbone", "kd_same_task", "kd_cross_task_direct"):
+        assert list(batch) == ["records"]
+    elif variant == "no_auxiliary_rank":
+        assert list(batch) == ["records", *pairs]
+        assert state.rng_quads.bit_generator.state == quads_rng
+    else:
+        assert list(batch) == ["records", *QUADS, *pairs]
+    assert all(rows.shape == (8,) for rows in batch.values())

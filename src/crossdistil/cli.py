@@ -27,6 +27,7 @@ import json
 import logging
 import sys
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,11 @@ def _build_run_config(raw: dict) -> RunConfig:
     model = ModelConfig(**raw.get("model", {}))
 
     train_cfg = config_from_dict(raw.get("train", {}))
-    seeds = tuple(int(s) for s in raw.get("seeds", [0, 1, 2]))
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"config seeds must be a nonempty list of nonnegative integers, got {list(seeds)}")
-    return RunConfig(path, synth, fractions, model, train_cfg, seeds)
+    seeds = raw.get("seeds", [0, 1, 2])
+    if not isinstance(seeds, list) or not seeds or any(
+            isinstance(s, bool) or not isinstance(s, Integral) or s < 0 for s in seeds):
+        raise ConfigError(f"config seeds must be a nonempty list of nonnegative integers, got {seeds!r}")
+    return RunConfig(path, synth, fractions, model, train_cfg, tuple(seeds))
 
 
 def load_run_config(path) -> RunConfig:

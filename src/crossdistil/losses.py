@@ -14,7 +14,8 @@ sigmoid is the calibrated probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class HyperParams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         for name in ("alpha_a", "alpha_b"):

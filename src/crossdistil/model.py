@@ -2,11 +2,13 @@
 
 Per-field embeddings are concatenated and pushed through either a single
 shared MLP trunk ("shared_bottom") or a per-task softmax-gated mixture of
-shared experts plus one task-private expert ("gated_experts"). Four towers
+shared experts plus one task-private expert ("gated_experts"). The shared
+experts run once per forward and feed both tasks' mixtures. Four towers
 produce the logits: a regression (student) head and a ranking (teacher)
 head per task. Teacher towers consume the same backbone output as their
 task's student but own their parameters, so losses on one head cannot move
-another head's tower.
+another head's tower. A forward may ask for a subset of the heads; it then
+builds only those towers and the mixtures that feed them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import ConfigError, UsageError, require_ints
 from .numgrad import Tensor
 
 HEADS = ("a", "b", "a_plus", "b_plus")
+TASKS = ("a", "b")
 BACKBONES = ("shared_bottom", "gated_experts")
 
 
@@ -102,12 +105,9 @@ class MultiTaskNet:
                     Tensor(np.zeros((in_dim, mix_width)), requires_grad=True),
                     Tensor(np.zeros((1, mix_width)), requires_grad=True),
                 )
-                for task in ("a", "b")
+                for task in TASKS
             }
-            h = cfg.hidden_sizes[-1]
-            self._mix_expand = Tensor(np.kron(np.eye(mix_width), np.ones((1, h))))
-            self._mix_reduce = Tensor(np.kron(np.ones((mix_width, 1)), np.eye(h)))
-            backbone_out = h
+            backbone_out = cfg.hidden_sizes[-1]
 
         self.towers = {
             head: self._grad_mlp(rng, [backbone_out, *cfg.tower_hidden, 1], cfg.init_scale)
@@ -164,10 +164,7 @@ class MultiTaskNet:
                 raise UsageError(f"field '{name}': id {bad} out of range [0, {vocab})")
 
     def _embed(self, ids: np.ndarray) -> Tensor:
-        x = ng.row_gather(self.embeddings[0], ids[:, 0])
-        for f in range(1, ids.shape[1]):
-            x = ng.concat_cols(x, ng.row_gather(self.embeddings[f], ids[:, f]))
-        return x
+        return ng.concat_cols(*(ng.row_gather(table, ids[:, f]) for f, table in enumerate(self.embeddings)))
 
     @staticmethod
     def _run_mlp(x: Tensor, layers, final_linear: bool) -> Tensor:
@@ -178,28 +175,31 @@ class MultiTaskNet:
                 x = ng.relu(x)
         return x
 
-    def _mixture(self, x: Tensor, task: str) -> Tensor:
-        outs = [self._run_mlp(x, self.experts[e], final_linear=False) for e in range(self.cfg.n_experts)]
-        private = self.experts[self.cfg.n_experts + (0 if task == "a" else 1)]
-        outs.append(self._run_mlp(x, private, final_linear=False))
-        stacked = outs[0]
-        for o in outs[1:]:
-            stacked = ng.concat_cols(stacked, o)
+    def _mixture(self, x: Tensor, shared: list[Tensor], task: str) -> Tensor:
+        """Gate ``task``'s mix of the shared expert outputs and its private expert."""
+        private = self._run_mlp(x, self.experts[self.cfg.n_experts + TASKS.index(task)], final_linear=False)
         w, b = self.gates[task]
         weights = ng.row_softmax(ng.add(ng.matmul(x, w), b))
-        expanded = ng.matmul(weights, self._mix_expand)
-        return ng.matmul(ng.mul(stacked, expanded), self._mix_reduce)
+        return ng.row_mix(weights, *shared, private)
 
-    def forward(self, field_ids) -> dict[str, Tensor]:
-        """Compute the (B, 1) logits of every head in ``HEADS`` for a batch of id rows."""
+    def forward(self, field_ids, heads=HEADS) -> dict[str, Tensor]:
+        """Compute the (B, 1) logits of each of ``heads`` for a batch of id rows.
+
+        Only the requested towers are built, and on ``gated_experts`` only the
+        mixtures of their tasks; the shared experts run once for both tasks.
+        """
+        if unknown := set(heads) - set(HEADS):
+            raise UsageError(f"unknown heads {sorted(unknown)}; expected some of {HEADS}")
         ids = np.asarray(field_ids, dtype=np.int64)
         self._check_ids(ids)
         x = self._embed(ids)
+        task_of = {head: head.removesuffix("_plus") for head in heads}
         if self.cfg.backbone == "shared_bottom":
             h = self._run_mlp(x, self.trunk, final_linear=False)
-            inputs = {head: h for head in HEADS}
+            inputs = {task: h for task in TASKS}
         else:
-            mix = {task: self._mixture(x, task) for task in ("a", "b")}
-            inputs = {"a": mix["a"], "a_plus": mix["a"], "b": mix["b"], "b_plus": mix["b"]}
-        return {head: self._run_mlp(inputs[head], self.towers[head], final_linear=True) for head in HEADS}
+            shared = [self._run_mlp(x, layers, final_linear=False) for layers in self.experts[: self.cfg.n_experts]]
+            inputs = {task: self._mixture(x, shared, task) for task in TASKS if task in task_of.values()}
+        return {head: self._run_mlp(inputs[task], self.towers[head], final_linear=True)
+                for head, task in task_of.items()}
 

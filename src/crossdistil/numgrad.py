@@ -207,15 +207,35 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(av, 0.0), "relu", (a,), bwd)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: row counts differ: {a.shape} vs {b.shape}")
-    ca = a.shape[1]
+def concat_cols(*parts: Tensor) -> Tensor:
+    """Join one or more tensors with equal row counts side by side."""
+    if any(p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ShapeError(f"concat_cols: row counts differ: {[p.shape for p in parts]}")
+    splits = np.cumsum([p.shape[1] for p in parts[:-1]])
 
     def bwd(g):
-        return g[:, :ca], g[:, ca:]
+        return np.split(g, splits, axis=1)
 
-    return _make(np.concatenate([a.values, b.values], axis=1), "concat_cols", (a, b), bwd)
+    return _make(np.concatenate([p.values for p in parts], axis=1), "concat_cols", parts, bwd)
+
+
+def row_mix(weights: Tensor, *blocks: Tensor) -> Tensor:
+    """Row-wise weighted sum of equal-shape blocks: out[i] = sum_k weights[i, k] * blocks[k][i]."""
+    shape = blocks[0].shape
+    if any(b.shape != shape for b in blocks) or weights.shape != (shape[0], len(blocks)):
+        raise ShapeError(f"row_mix: weights {weights.shape} do not fit blocks {[b.shape for b in blocks]}")
+    wv = weights.values
+    bvs = [b.values for b in blocks]
+    cols = [wv[:, k : k + 1] for k in range(len(bvs))]
+    out = cols[0] * bvs[0]
+    for c, bv in zip(cols[1:], bvs[1:]):
+        out += c * bv
+
+    def bwd(g):
+        gw = np.stack([(g * bv).sum(axis=1) for bv in bvs], axis=1)
+        return (gw, *(g * c for c in cols))
+
+    return _make(out, "row_mix", (weights, *blocks), bwd)
 
 
 def row_gather(table: Tensor, indices) -> Tensor:

@@ -20,7 +20,9 @@ Each step samples a batch dict of row indices (``sample_step_batch``):
 ``records``, then the four ``data.QUADS`` subsets when a quadruplet loss
 is on, then ``data.PAIRS["a"] + data.PAIRS["b"]`` for the ranking
 teachers. Every key is forwarded through the net, whose ``forward`` returns
-a dict of logits keyed by ``model.HEADS``. Sampling uses three independent
+a dict of logits for the heads it is asked for: all of ``model.HEADS`` for
+``records``, the two ``TEACHERS`` for each quadruplet subset and the one
+teacher a union is ranked by for each pair. Sampling uses three independent
 RNG streams (records, quadruplets, pairs) spawned from the seed, so
 variants that skip a sampler still see the same record batches step for
 step.
@@ -47,7 +49,7 @@ from . import numgrad as ng
 from .data import PAIRS, QUADS, Dataset, LabelPartition, partition, sample
 from .errors import ConfigError, NumericError, TrainingAborted, require_ints
 from .losses import CalibrationParams, HyperParams
-from .model import HEADS, ModelConfig, MultiTaskNet
+from .model import HEADS, TASKS, ModelConfig, MultiTaskNet
 from .numgrad import Tensor
 
 log = logging.getLogger(__name__)
@@ -63,7 +65,7 @@ VARIANTS = (
     "backbone",
 )
 
-TASKS = ("a", "b")
+TEACHERS = tuple(f"{task}_plus" for task in TASKS)
 
 
 @dataclass(frozen=True)
@@ -259,11 +261,10 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
 
     teacher_losses: dict[str, Tensor] = {}
     if wiring.rank_teachers:
-        quad_heads = [state.net.forward(ds.field_ids[batch[name]]) for name in QUADS if name in batch]
+        quad_heads = [state.net.forward(ds.field_ids[batch[name]], TEACHERS) for name in QUADS if name in batch]
         for task in TASKS:
             teacher = f"{task}_plus"
-            # keep only the ranked teacher logit of each union forward, so the rest is freed at once
-            pos, neg = (state.net.forward(ds.field_ids[batch[name]])[teacher] for name in PAIRS[task])
+            pos, neg = (state.net.forward(ds.field_ids[batch[name]], (teacher,))[teacher] for name in PAIRS[task])
             if quad_heads:
                 loss = L.quadruplet_loss(task, *(q[teacher] for q in quad_heads), pos, neg, *h.beta(task))
             else:
@@ -311,7 +312,7 @@ def calibration_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray
     """
     records = batch["records"]
     with ng.no_grad():
-        heads = state.net.forward(ds.field_ids[records])
+        heads = state.net.forward(ds.field_ids[records], TEACHERS)
     loss = L.calibration_loss(ds.y_a[records], ds.y_b[records], heads["a_plus"], heads["b_plus"], state.calibration)
     state.calibration.zero_grad()
     ng.backward(loss)

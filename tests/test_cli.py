@@ -202,6 +202,31 @@ def test_sweeps_check_the_whole_grid_before_the_first_run(config, capsys, monkey
     assert_one_line_error(capsys, "1.5")
 
 
+def test_sweep_rejects_a_nan_grid_before_the_first_run(config, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: runs.append(args))
+    assert main(["sweep", "--config", config, "--param", "beta1", "--grid", "nan"]) == 2
+    assert runs == []
+    assert_one_line_error(capsys, "beta1_a must be finite")
+
+
+def test_nan_hyperparameter_exits_2_at_load(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path / "cfg.json", hyper={"temperature": float("nan")})
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", path]) == 2
+    assert_one_line_error(capsys, "temperature must be finite")
+
+
+@pytest.mark.parametrize("seeds", [[1.5], [0, True], "0", []])
+def test_non_integer_seeds_exit_2_at_load(tmp_path, capsys, monkeypatch, seeds):
+    raw = {**CONFIG, "seeds": seeds}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)
+    assert main(["train", "--config", str(path)]) == 2
+    assert_one_line_error(capsys, "seeds")
+
+
 def test_python_dash_m_runs_the_command_line():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}

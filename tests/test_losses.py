@@ -276,6 +276,16 @@ class TestHyperParams:
         with pytest.raises(ConfigError):
             HyperParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["temperature", "alpha_a", "beta1_b", "margin", "weight_a_plus",
+                                      "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            HyperParams(**{name: value})
+
+    def test_negative_margin_allowed(self):
+        assert HyperParams(margin=-20.0).margin == -20.0
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -84,6 +84,21 @@ class TestForward:
         for name in HEADS:
             np.testing.assert_array_equal(permuted[name].values, base[name].values[perm])
 
+    @pytest.mark.parametrize("backbone", ["shared_bottom", "gated_experts"])
+    @pytest.mark.parametrize("heads", [("a",), ("b_plus",), ("a_plus", "b_plus"), ("b", "a_plus")])
+    def test_head_subset_matches_full_forward(self, backbone, heads, rng):
+        net = tiny_net(backbone=backbone, tower_hidden=(3,))
+        ids = rng.integers(0, 3, size=(7, 3))
+        full = net.forward(ids)
+        subset = net.forward(ids, heads)
+        assert sorted(subset) == sorted(heads)
+        for name in heads:
+            assert subset[name].values.tobytes() == full[name].values.tobytes(), name
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(UsageError, match="unknown heads"):
+            tiny_net().forward([[0, 0, 0]], ("a", "c_plus"))
+
     def test_out_of_range_id_names_field(self):
         net = tiny_net()
         with pytest.raises(UsageError, match="field 'i': id 9"):

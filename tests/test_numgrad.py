@@ -42,6 +42,32 @@ class TestForwardValues:
         out = ng.concat_cols(t([[1.0], [2.0]]), t([[3.0, 4.0], [5.0, 6.0]]))
         np.testing.assert_array_equal(out.values, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
 
+    def test_concat_cols_three_parts(self, rng):
+        parts = [t(rng.normal(size=(2, w)), requires_grad=True) for w in (1, 3, 2)]
+        out = ng.concat_cols(*parts)
+        np.testing.assert_array_equal(out.values, np.hstack([p.values for p in parts]))
+        proj = rng.normal(size=(2, 6))
+        ng.backward(ng.reduce_sum(ng.mul(out, t(proj))))
+        for p, g in zip(parts, np.split(proj, [1, 4], axis=1)):
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_concat_cols_row_mismatch(self):
+        with pytest.raises(ShapeError, match="row counts differ"):
+            ng.concat_cols(t(np.ones((2, 1))), t(np.ones((2, 2))), t(np.ones((3, 1))))
+
+    def test_row_mix_is_row_weighted_sum(self, rng):
+        w = rng.uniform(size=(4, 3))
+        blocks = [rng.normal(size=(4, 2)) for _ in range(3)]
+        out = ng.row_mix(t(w), *(t(b) for b in blocks))
+        expected = sum(w[:, k : k + 1] * blocks[k] for k in range(3))
+        np.testing.assert_allclose(out.values, expected, rtol=1e-15)
+
+    def test_row_mix_shape_errors(self):
+        with pytest.raises(ShapeError, match="row_mix"):
+            ng.row_mix(t(np.ones((2, 3))), t(np.ones((2, 4))), t(np.ones((2, 4))))
+        with pytest.raises(ShapeError, match="row_mix"):
+            ng.row_mix(t(np.ones((2, 2))), t(np.ones((2, 4))), t(np.ones((2, 3))))
+
     def test_row_gather_values_and_bounds(self):
         table = t([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         out = ng.row_gather(table, [2, 0, 2])
@@ -175,6 +201,12 @@ def _random_instance(op_name, rng):
         a, b = mk((m, n)), mk((m, n + 1))
         fwd = lambda: ng.concat_cols(a, b)
         tensors = (a, b)
+    elif op_name == "row_mix":
+        k = int(rng.integers(1, 4))
+        w = mk((m, k))
+        blocks = [mk((m, n)) for _ in range(k)]
+        fwd = lambda: ng.row_mix(w, *blocks)
+        tensors = (w, *blocks)
     elif op_name == "row_gather":
         a = mk((m + 2, n))
         idx = rng.integers(0, m + 2, size=m)
@@ -202,7 +234,7 @@ def _random_instance(op_name, rng):
 
 ALL_OPS = (
     "matmul", "add", "mul", "neg", "sigmoid", "exp", "log", "softplus", "relu",
-    "concat_cols", "row_gather", "reduce_sum", "reduce_mean", "row_softmax",
+    "concat_cols", "row_mix", "row_gather", "reduce_sum", "reduce_mean", "row_softmax",
     "scalar_scale",
 )
 

@@ -9,10 +9,12 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import finite_difference, grad_close, tiny_net
 from crossdistil import training as T
-from crossdistil.data import PAIRS, QUADS, SynthConfig, generate_synthetic, partition, split_dataset
+from crossdistil.data import PAIRS, QUADS, Dataset, SynthConfig, generate_synthetic, partition, split_dataset
 from crossdistil.errors import ConfigError
-from crossdistil.losses import HyperParams
+from crossdistil.losses import CalibrationParams, HyperParams
+from crossdistil.numgrad import Tensor
 from crossdistil.model import BACKBONES, HEADS, ModelConfig
 
 MODEL = {"embedding_dim": 4, "hidden_sizes": (6,), "seed": 7}
@@ -141,6 +143,43 @@ def test_kd_sends_no_gradient_to_teachers_or_calibration(datasets, backbone, var
             assert not g.any(), name
     for student in ("tower.a.", "tower.b."):
         assert any(g.any() for name, g in grads.items() if name.startswith(student))
+
+
+@pytest.mark.parametrize("variant", ("taug", "backbone"))
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_model_objective_gradient_matches_finite_difference(backbone, variant):
+    """The gradient ``model_loss_step`` leaves in every parameter matches central
+    differences of the whole objective it reports. These variants have no
+    stop-gradient KD target, so the objective is a smooth function of every
+    parameter; an lr-0 Sgd keeps the parameters where they are."""
+    rng = np.random.default_rng(11)
+    net = tiny_net(seed=3, backbone=backbone, tower_hidden=(3,))
+    labels = np.arange(48) % 4  # every label combination present
+    ds = Dataset(net.field_names, net.vocab_sizes,
+                 np.column_stack([rng.integers(0, v, size=48) for v in net.vocab_sizes]), labels // 2, labels % 2)
+    cal = CalibrationParams()
+    spawned = [np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(3)]
+    state = T.TrainState(net, cal, T.Sgd(net.named_parameters(), 0.0), T.Sgd(cal.named_parameters(), 0.0), 0,
+                         *spawned)
+    cfg = T.TrainConfig(batch_size=6, variant=variant)
+    wiring = T.apply_variant(variant)
+    batch = T.sample_step_batch(state, partition(ds), len(ds), cfg, wiring)
+
+    def objective():
+        return Tensor.scalar(T.model_loss_step(state, ds, batch, cfg, wiring)["model"])
+
+    objective()
+    named = net.named_parameters()
+    grads = {name: t.grad.copy() for name, t in named}
+    groups = {name.split(".")[0] for name, _ in named}
+    assert groups == ({"emb", "trunk", "tower"} if backbone == "shared_bottom" else {"emb", "expert", "gate", "tower"})
+    for name, t in named:
+        g = grads[name]
+        # the entry with the largest gradient, plus one at random
+        for pos in {int(np.abs(g).argmax()), int(rng.integers(g.size))}:
+            r, c = divmod(pos, g.shape[1])
+            assert grad_close(g[r, c], finite_difference(objective, t, r, c)), (name, r, c)
+    assert any(grads[name].any() for name, _ in named if name.startswith("tower.a_plus.")) == (variant == "taug")
 
 
 def test_no_auxiliary_rank_is_crossdistil_with_zero_betas():

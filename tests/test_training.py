@@ -14,8 +14,8 @@ from crossdistil import training as T
 from crossdistil.data import PAIRS, QUADS, Dataset, SynthConfig, generate_synthetic, partition, split_dataset
 from crossdistil.errors import ConfigError
 from crossdistil.losses import CalibrationParams, HyperParams
-from crossdistil.numgrad import Tensor
 from crossdistil.model import BACKBONES, HEADS, ModelConfig
+from crossdistil.numgrad import Tensor
 
 MODEL = {"embedding_dim": 4, "hidden_sizes": (6,), "seed": 7}
 DISTILLING = [v for v in T.VARIANTS if T.apply_variant(v).distill != "off"]

@@ -1,7 +1,11 @@
 """Ranking and calibration metrics: AUC, prevalence-weighted multi-class AUC,
 log loss, and the 4-class ordering of label combinations per task.
 
-All functions are pure and operate on plain numpy arrays.
+All functions are pure and operate on plain numpy arrays. ``auc`` and
+``multi_auc`` sort the scores once per call and read the win and tie count of
+every class pair from that one sort, as exact integers, so they equal
+brute-force pair enumeration bit for bit. A NaN score makes either raise
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -11,27 +15,72 @@ import numpy as np
 from .errors import ConfigError, UndefinedMetricError
 
 PROB_EPS = 1e-12
+EXACT_FLOAT_ROWS = 2**26  # below this many rows, float64 pair counts stay exact (see _pair_counts)
+
+
+def _pair_counts(metric: str, s: np.ndarray, c: np.ndarray, n_classes: int):
+    """Exact pair counts of every ordered class pair, from one sort of the scores.
+
+    ``s`` is nonempty and ``c`` holds each row's class in ``[0, n_classes)``.
+    Returns two ``(n_classes, n_classes)`` arrays of integers: ``wins[k, j]``
+    counts the (class-k row, class-j row) pairs where the class-k row scores
+    strictly higher, ``ties[k, j]`` those where both score the same.
+
+    Rows with equal scores form one tie group. ``table[k, g]`` counts the
+    class-k rows of group ``g`` (groups in ascending score order), so
+    ``ties = table @ table.T`` and ``wins = table @ cumsum(table).T - ties``.
+    The counts are float64 integers, so the matmuls run in BLAS and sum
+    exactly: every product and partial sum is at most n**2 < 2**52 for fewer
+    than ``EXACT_FLOAT_ROWS`` rows. Larger inputs count in int64 instead.
+    """
+    order = np.argsort(s)
+    ss = s[order]
+    if np.isnan(ss[-1]):  # argsort puts NaN last
+        raise ConfigError(f"{metric}: scores contain NaN")
+    starts = np.empty(ss.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ss[1:], ss[:-1], out=starts[1:])
+    del ss  # each row-sized temporary goes before the larger tables are built
+    key = np.cumsum(starts)
+    key -= 1  # each sorted row's tie group
+    n_groups = int(key[-1]) + 1
+    key += c[order] * n_groups
+    del order
+    table = np.bincount(key, minlength=n_classes * n_groups)
+    del key
+    table = table.reshape(n_classes, n_groups).astype(np.float64 if s.size < EXACT_FLOAT_ROWS else np.int64)
+    ties = table @ table.T
+    return table @ np.cumsum(table, axis=1).T - ties, ties
+
+
+def _pair_auc(wins, ties, n_pos: int, n_neg: int) -> float:
+    """Mann-Whitney AUC from integer pair counts: ties get half credit."""
+    return (int(wins) + 0.5 * int(ties)) / (n_pos * n_neg)
 
 
 def auc(scores, labels) -> float:
     """Area under the ROC curve for binary labels.
 
-    Tied score pairs get 0.5 credit (the standard Mann-Whitney estimator).
-    Uses a sort instead of pair enumeration, but sums the same integer pair
-    counts, so it matches brute force exactly.
+    Rows whose label is neither 0 nor 1 are ignored. Tied score pairs get
+    0.5 credit (the standard Mann-Whitney estimator). One sort of the scores
+    gives the exact integer pair counts (see ``_pair_counts``), so it matches
+    brute-force pair enumeration exactly. A NaN score raises ``ConfigError``;
+    +-inf scores rank as usual.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ConfigError(f"auc: {s.shape[0]} scores vs {y.shape[0]} labels")
-    pos = s[y == 1]
-    negs = np.sort(s[y == 0])
-    if pos.size == 0 or negs.size == 0:
+    pos = y == 1
+    keep = pos | (y == 0)
+    if not keep.all():
+        s, pos = s[keep], pos[keep]
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = pos.size - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("auc needs at least one positive and one negative")
-    lo = np.searchsorted(negs, pos, side="left")
-    wins = int(lo.sum())
-    tied = int((np.searchsorted(negs, pos, side="right") - lo).sum())
-    return (wins + 0.5 * tied) / (pos.size * negs.size)
+    wins, ties = _pair_counts("auc", s, pos, 2)
+    return _pair_auc(wins[1, 0], ties[1, 0], n_pos, n_neg)
 
 
 def multi_auc(scores, classes, n_classes: int) -> float:
@@ -41,7 +90,9 @@ def multi_auc(scores, classes, n_classes: int) -> float:
     (j, k), j < k, contributes AUC(k positive, j negative) with weight
     (n_j + n_k) / N, normalized by the total weight of the evaluated pairs.
     Pairs touching an empty class are skipped. With two classes this reduces
-    to plain AUC exactly (the single pair has weight 1).
+    to plain AUC exactly (the single pair has weight 1). Every pair AUC is
+    read from one count table (``_pair_counts``); a NaN score raises
+    ``ConfigError``.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     c = np.asarray(classes, dtype=np.int64).ravel()
@@ -54,6 +105,7 @@ def multi_auc(scores, classes, n_classes: int) -> float:
     counts = np.bincount(c, minlength=n_classes)
     if (counts > 0).sum() < 2:
         raise UndefinedMetricError("multi_auc needs at least two nonempty classes")
+    wins, ties = _pair_counts("multi_auc", s, c, n_classes)
     total = c.size
     acc = 0.0
     weight_sum = 0.0
@@ -63,8 +115,7 @@ def multi_auc(scores, classes, n_classes: int) -> float:
         for k in range(j + 1, n_classes):
             if counts[k] == 0:
                 continue
-            mask = (c == j) | (c == k)
-            pair_auc = auc(s[mask], (c[mask] == k).astype(np.int64))
+            pair_auc = _pair_auc(wins[k, j], ties[k, j], int(counts[k]), int(counts[j]))
             w = (counts[j] + counts[k]) / total
             acc += w * pair_auc
             weight_sum += w

@@ -142,9 +142,6 @@ class MultiTaskNet:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def tower_parameters(self, head: str) -> list[Tensor]:
-        return [t for pair in self.towers[head] for t in pair]
-
     def n_parameters(self) -> int:
         return sum(t.values.size for t in self.parameters())
 

@@ -144,15 +144,22 @@ def neg(a: Tensor) -> Tensor:
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid on a plain array (branch form: only ever
-    exponentiates a non-positive argument)."""
+    """Numerically stable sigmoid on a plain array: with e = exp(-|x|), only
+    ever of a non-positive argument, 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere.
+
+    ``minimum(x, -x)`` is ``-|x|`` but passes a NaN through with its sign, so
+    every output, NaN included, has the bytes of the branch form that scatters
+    each half through a boolean mask. Both halves are written in place into
+    one buffer, which keeps the transient memory below the branch form's.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.minimum(x, -x, out=np.empty_like(x))
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=x >= 0)
+    return e
 
 
 def sigmoid(a: Tensor) -> Tensor:

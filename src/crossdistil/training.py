@@ -20,8 +20,9 @@ Each step samples a batch dict of row indices (``sample_step_batch``):
 ``records``, then the four ``data.QUADS`` subsets when a quadruplet loss
 is on, then ``data.PAIRS["a"] + data.PAIRS["b"]`` for the ranking
 teachers. Every key is forwarded through the net, whose ``forward`` returns
-a dict of logits for the heads it is asked for: all of ``model.HEADS`` for
-``records``, the two ``TEACHERS`` for each quadruplet subset and the one
+a dict of logits for the heads it is asked for: for ``records`` the two
+students, plus the ``TEACHERS`` when the variant trains or distils from them
+on the records, the two ``TEACHERS`` for each quadruplet subset and the one
 teacher a union is ranked by for each pair. Sampling uses three independent
 RNG streams (records, quadruplets, pairs) spawned from the seed, so
 variants that skip a sampler still see the same record batches step for
@@ -257,7 +258,8 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
 
     records = batch["records"]
     labels = {"a": ds.y_a[records], "b": ds.y_b[records]}
-    heads = state.net.forward(ds.field_ids[records])
+    reads_teachers = wiring.regression_teachers or wiring.distill == "teacher"
+    heads = state.net.forward(ds.field_ids[records], HEADS if reads_teachers else TASKS)
 
     teacher_losses: dict[str, Tensor] = {}
     if wiring.rank_teachers:

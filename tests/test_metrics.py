@@ -3,8 +3,11 @@ and the label-combination class ordering."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from crossdistil.errors import UndefinedMetricError
+from crossdistil import metrics
+from crossdistil.errors import ConfigError, UndefinedMetricError
 from crossdistil.metrics import auc, class_of, logloss, multi_auc
 
 
@@ -41,6 +44,66 @@ def brute_force_multi_auc(scores, classes, n_classes):
             acc += w * pair
             wsum += w
     return acc / wsum
+
+
+# up to 300 rows drawn from at most 5 distinct scores (+-0.0, +-inf and
+# subnormals included), so most rows tie with others
+tied_scores = st.lists(st.floats(allow_nan=False), min_size=1, max_size=5, unique=True)
+
+
+def tied_rows(labels):
+    """Score and label lists of equal length; the scores come from one small pool."""
+    return tied_scores.flatmap(lambda pool: st.lists(st.tuples(st.sampled_from(pool), labels), max_size=300)).map(
+        lambda rows: ([r[0] for r in rows], [r[1] for r in rows]))
+
+
+class TestExact:
+    """The sort-based metrics equal the pair-enumeration oracles with ``==``."""
+
+    @given(tied_rows(st.integers(-1, 2)))  # labels -1 and 2 are ignored
+    def test_auc_equals_brute_force(self, rows):
+        scores, labels = rows
+        if not ({0, 1} <= set(labels)):
+            with pytest.raises(UndefinedMetricError):
+                auc(scores, labels)
+        else:
+            assert auc(scores, labels) == brute_force_auc(scores, labels)
+
+    @given(st.integers(2, 5).flatmap(lambda c: st.tuples(st.just(c), tied_rows(st.integers(0, c - 1)))))
+    def test_multi_auc_equals_brute_force(self, drawn):
+        n_classes, (scores, classes) = drawn
+        if len(set(classes)) < 2:
+            with pytest.raises(UndefinedMetricError):
+                multi_auc(scores, classes, n_classes)
+        else:
+            assert multi_auc(scores, classes, n_classes) == brute_force_multi_auc(scores, classes, n_classes)
+
+    def test_int64_counts_equal_float64_counts(self, monkeypatch, rng):
+        scores = rng.choice([-np.inf, -0.0, 0.0, 0.5, np.inf], size=300)
+        classes = rng.integers(0, 4, size=300)
+        labels = classes % 2
+        expected = (auc(scores, labels), multi_auc(scores, classes, 4))
+        monkeypatch.setattr(metrics, "EXACT_FLOAT_ROWS", 0)
+        assert (auc(scores, labels), multi_auc(scores, classes, 4)) == expected
+        assert expected == (brute_force_auc(scores, labels), brute_force_multi_auc(scores, classes, 4))
+
+
+class TestNonFiniteScores:
+    def test_auc_rejects_nan(self):
+        with pytest.raises(ConfigError, match="^auc: .*NaN"):
+            auc([np.nan, 0.1, 0.5, 0.2], [1, 0, 1, 0])
+
+    def test_multi_auc_rejects_nan(self):
+        with pytest.raises(ConfigError, match="^multi_auc: .*NaN"):
+            multi_auc([0.3, 0.1, -np.nan, 0.2], [3, 0, 1, 2], 4)
+
+    def test_auc_ignores_nan_on_a_row_it_ignores(self):
+        assert auc([np.nan, 0.1, 0.5], [2, 0, 1]) == 1.0
+
+    def test_infinite_scores_rank(self):
+        scores = [np.inf, -np.inf, 1.0, np.inf, -np.inf]
+        assert auc(scores, [1, 0, 0, 0, 1]) == brute_force_auc(scores, [1, 0, 0, 0, 1]) == 3 / 6
+        assert multi_auc(scores, [2, 0, 1, 2, 1], 3) == brute_force_multi_auc(scores, [2, 0, 1, 2, 1], 3)
 
 
 class TestAuc:

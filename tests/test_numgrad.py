@@ -95,6 +95,21 @@ class TestForwardValues:
         out = ng.sigmoid(t([[-800.0, 800.0]]))
         np.testing.assert_allclose(out.values, [[0.0, 1.0]], atol=1e-300)
 
+    def test_sigmoid_values_has_the_bytes_of_the_branch_form(self):
+        def branch(x):  # scatter each half through a boolean mask
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        edges = [0.0, 1e-300, 700.0, 1e308, np.inf, np.nan]
+        x = np.array(edges + [-v for v in edges])
+        assert np.signbit(x[6:]).all()  # -0.0 and -NaN are really negative
+        for shaped in (x, x.reshape(-1, 1)):
+            assert ng.sigmoid_values(shaped).tobytes() == branch(shaped).tobytes()
+
     def test_tensor_must_be_2d(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 2, 2)))

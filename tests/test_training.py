@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, grad_close, tiny_net
+from crossdistil import numgrad as ng
 from crossdistil import training as T
 from crossdistil.data import PAIRS, QUADS, Dataset, SynthConfig, generate_synthetic, partition, split_dataset
 from crossdistil.errors import ConfigError
 from crossdistil.losses import CalibrationParams, HyperParams
-from crossdistil.model import BACKBONES, HEADS, ModelConfig
+from crossdistil.model import BACKBONES, HEADS, ModelConfig, MultiTaskNet
 from crossdistil.numgrad import Tensor
 
 MODEL = {"embedding_dim": 4, "hidden_sizes": (6,), "seed": 7}
@@ -145,13 +146,14 @@ def test_kd_sends_no_gradient_to_teachers_or_calibration(datasets, backbone, var
         assert any(g.any() for name, g in grads.items() if name.startswith(student))
 
 
-@pytest.mark.parametrize("variant", ("taug", "backbone"))
+@pytest.mark.parametrize("variant", T.VARIANTS)
 @pytest.mark.parametrize("backbone", BACKBONES)
-def test_model_objective_gradient_matches_finite_difference(backbone, variant):
+def test_model_objective_gradient_matches_finite_difference(monkeypatch, backbone, variant):
     """The gradient ``model_loss_step`` leaves in every parameter matches central
-    differences of the whole objective it reports. These variants have no
-    stop-gradient KD target, so the objective is a smooth function of every
-    parameter; an lr-0 Sgd keeps the parameters where they are."""
+    differences of the whole objective it reports. The KD target is a
+    stop-gradient array, so it is held at its value for the unperturbed
+    parameters; the objective is then a smooth function of every parameter. An
+    lr-0 Sgd keeps the parameters where they are."""
     rng = np.random.default_rng(11)
     net = tiny_net(seed=3, backbone=backbone, tower_hidden=(3,))
     labels = np.arange(48) % 4  # every label combination present
@@ -164,11 +166,21 @@ def test_model_objective_gradient_matches_finite_difference(backbone, variant):
     cfg = T.TrainConfig(batch_size=6, variant=variant)
     wiring = T.apply_variant(variant)
     batch = T.sample_step_batch(state, partition(ds), len(ds), cfg, wiring)
+    targets = {}
+    distill_target = T._distill_target
+
+    def fixed_target(state, wiring, h, heads, labels, task):
+        if task not in targets:
+            targets[task] = distill_target(state, wiring, h, heads, labels, task)
+        return targets[task]
+
+    monkeypatch.setattr(T, "_distill_target", fixed_target)
 
     def objective():
         return Tensor.scalar(T.model_loss_step(state, ds, batch, cfg, wiring)["model"])
 
     objective()
+    assert set(targets) == (set() if wiring.distill == "off" else {"a", "b"})
     named = net.named_parameters()
     grads = {name: t.grad.copy() for name, t in named}
     groups = {name.split(".")[0] for name, _ in named}
@@ -179,7 +191,50 @@ def test_model_objective_gradient_matches_finite_difference(backbone, variant):
         for pos in {int(np.abs(g).argmax()), int(rng.integers(g.size))}:
             r, c = divmod(pos, g.shape[1])
             assert grad_close(g[r, c], finite_difference(objective, t, r, c)), (name, r, c)
-    assert any(grads[name].any() for name, _ in named if name.startswith("tower.a_plus.")) == (variant == "taug")
+    trains_teachers = wiring.rank_teachers or wiring.regression_teachers
+    assert any(grads[name].any() for name, _ in named if name.startswith("tower.a_plus.")) == trains_teachers
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so that each call appends to the returned list."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_records_forward_builds_only_the_heads_the_variant_reads(datasets, monkeypatch):
+    """A ``backbone`` step reads only the students' logits of the records, so on
+    gated_experts it records 4 tape ops (the two teacher towers' matmul and
+    bias add) fewer than a step whose records forward builds all four heads,
+    and reports the same losses. A crossdistil step still makes 10 forwards."""
+    train_ds = datasets[0]
+    model_cfg = ModelConfig(backbone="gated_experts", **MODEL)
+    part = partition(train_ds)
+
+    def one_step(variant, all_heads=False):
+        cfg = T.TrainConfig(batch_size=8, variant=variant, seed=3)
+        state = T.init_state(model_cfg, train_ds, cfg)
+        with monkeypatch.context() as m:
+            if all_heads:
+                forward = MultiTaskNet.forward
+                m.setattr(MultiTaskNet, "forward", lambda net, ids, heads=HEADS: forward(net, ids))
+            ops = _count_calls(m, ng, "_make")
+            forwards = _count_calls(m, MultiTaskNet, "forward")
+            components = T.train_step(state, train_ds, part, cfg)
+        return len(ops), len(forwards), components
+
+    ops, forwards, components = one_step("backbone")
+    all_ops, all_forwards, all_components = one_step("backbone", all_heads=True)
+    assert (forwards, all_forwards) == (1, 1)
+    assert all_ops - ops == 4
+    assert components == all_components
+    assert one_step("crossdistil")[1] == 10
 
 
 def test_no_auxiliary_rank_is_crossdistil_with_zero_betas():

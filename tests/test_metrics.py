@@ -3,7 +3,7 @@ and the label-combination class ordering."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdistil import metrics
@@ -60,6 +60,7 @@ def tied_rows(labels):
 class TestExact:
     """The sort-based metrics equal the pair-enumeration oracles with ``==``."""
 
+    @settings(deadline=None)  # the O(N^2) oracles can take longer than the default deadline on a busy host
     @given(tied_rows(st.integers(-1, 2)))  # labels -1 and 2 are ignored
     def test_auc_equals_brute_force(self, rows):
         scores, labels = rows
@@ -69,6 +70,7 @@ class TestExact:
         else:
             assert auc(scores, labels) == brute_force_auc(scores, labels)
 
+    @settings(deadline=None)
     @given(st.integers(2, 5).flatmap(lambda c: st.tuples(st.just(c), tied_rows(st.integers(0, c - 1)))))
     def test_multi_auc_equals_brute_force(self, drawn):
         n_classes, (scores, classes) = drawn

@@ -59,29 +59,18 @@ SWEEP_PARAMS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved experiment description."""
+    """A config file, resolved: ``asdict`` of it is the file's JSON form with
+    every default filled in.
 
-    data_path: str | None
-    synth: SynthConfig | None
-    split_fractions: tuple[float, float, float] | None  # None means split column
+    ``data`` is ``{"path": csv_path}`` or ``{"synthetic": SynthConfig}``;
+    ``split`` is ``{"fractions": (train, valid, test)}`` or ``{"column": True}``.
+    """
+
+    data: dict
+    split: dict
     model: ModelConfig
     train: TrainConfig
     seeds: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "data": (
-                {"path": self.data_path} if self.data_path is not None
-                else {"synthetic": asdict(self.synth)}
-            ),
-            "split": (
-                {"fractions": list(self.split_fractions)} if self.split_fractions is not None
-                else {"column": True}
-            ),
-            "model": asdict(self.model),
-            "train": asdict(self.train),
-            "seeds": list(self.seeds),
-        }
 
 
 def _build_run_config(raw: dict) -> RunConfig:
@@ -90,13 +79,10 @@ def _build_run_config(raw: dict) -> RunConfig:
     synth_raw = data.get("synthetic")
     if (path is None) == (synth_raw is None):
         raise ConfigError("config data section needs exactly one of 'path' or 'synthetic'")
-    synth = SynthConfig(**synth_raw) if synth_raw is not None else None
+    data = {"path": path} if synth_raw is None else {"synthetic": SynthConfig(**synth_raw)}
 
-    split = raw.get("split", {"fractions": [0.8, 0.1, 0.1]})
-    if split.get("column"):
-        fractions = None
-    else:
-        fractions = tuple(split.get("fractions", [0.8, 0.1, 0.1]))
+    split = raw.get("split", {})
+    split = {"column": True} if split.get("column") else {"fractions": tuple(split.get("fractions", (0.8, 0.1, 0.1)))}
 
     model = ModelConfig(**raw.get("model", {}))
 
@@ -105,7 +91,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     if not isinstance(seeds, list) or not seeds or any(
             isinstance(s, bool) or not isinstance(s, Integral) or s < 0 for s in seeds):
         raise ConfigError(f"config seeds must be a nonempty list of nonnegative integers, got {seeds!r}")
-    return RunConfig(path, synth, fractions, model, train_cfg, tuple(seeds))
+    return RunConfig(data, split, model, train_cfg, tuple(seeds))
 
 
 def load_run_config(path) -> RunConfig:
@@ -140,14 +126,14 @@ def prepare_datasets(run: RunConfig, seed: int) -> tuple[Dataset, Dataset, Datas
     """Build (train, valid, test) splits for one experiment seed."""
     derived = _derived_seeds(seed)
     utilities = None
-    if run.synth is not None:
-        ds, utilities = generate_synthetic(run.synth, np.random.default_rng(derived["data"]))
+    if "synthetic" in run.data:
+        ds, utilities = generate_synthetic(run.data["synthetic"], np.random.default_rng(derived["data"]))
     else:
-        ds = load_csv(run.data_path)
-    if run.split_fractions is None:
+        ds = load_csv(run.data["path"])
+    if "column" in run.split:
         train_ds, valid_ds, test_ds = split_by_column(ds)
     else:
-        train_ds, valid_ds, test_ds = split_dataset(ds, run.split_fractions, derived["split"])
+        train_ds, valid_ds, test_ds = split_dataset(ds, run.split["fractions"], derived["split"])
     for name, split in (("valid", valid_ds), ("test", test_ds)):
         for task, y in (("a", split.y_a), ("b", split.y_b)):
             if y.all() or not y.any():
@@ -164,7 +150,8 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
 
     ``corrupt=(task, ratio)`` rewrites that task's labels in the training
     split only. When ``out_dir`` is given, writes metrics.jsonl, final.ckpt,
-    and summary.json there. ``resume`` continues from a checkpoint, which
+    summary.json and config.resolved.json (the trained config with its
+    ``seed`` and ``variant``) there. ``resume`` continues from a checkpoint, which
     must have been trained with this run's configuration; only ``steps``
     and ``eval_interval`` may differ.
     """
@@ -192,7 +179,7 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
         "seed": seed,
         "variant": cfg.variant,
         "steps": state.step,
-        "config": replace(run, model=model_cfg, train=cfg).to_dict(),
+        "config": asdict(replace(run, model=model_cfg, train=cfg)),
         "corrupt": None if corrupt is None else {"task": corrupt[0], "ratio": corrupt[1]},
         "metrics": test_metrics,
     }
@@ -204,6 +191,7 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
                 fh.write(json.dumps(record) + "\n")
         save_checkpoint(out_dir / "final.ckpt", state, cfg)
         _write_json(out_dir / "summary.json", summary)
+        _write_json(out_dir / "config.resolved.json", {**summary["config"], "seed": seed, "variant": cfg.variant})
     return summary, history
 
 
@@ -225,10 +213,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_resolved_config(out_dir: Path, run: RunConfig, extra: dict | None = None) -> None:
-    payload = run.to_dict()
-    if extra:
-        payload.update(extra)
-    _write_json(out_dir / "config.resolved.json", payload)
+    _write_json(out_dir / "config.resolved.json", {**asdict(run), **(extra or {})})
 
 
 def _seed_stats(summaries: list[dict], metrics) -> dict[str, float]:
@@ -247,27 +232,18 @@ def _seed_stats(summaries: list[dict], metrics) -> dict[str, float]:
 
 def cmd_gen_data(run: RunConfig, out_dir: Path, seed: int) -> None:
     """Write dataset.csv plus the ground-truth utility sidecar."""
-    if run.synth is None:
+    if "synthetic" not in run.data:
         raise ConfigError("gen-data needs a config with a data.synthetic section")
     derived = _derived_seeds(seed)
-    ds, utilities = generate_synthetic(run.synth, np.random.default_rng(derived["data"]))
+    ds, utilities = generate_synthetic(run.data["synthetic"], np.random.default_rng(derived["data"]))
     out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(ds, out_dir / "dataset.csv")
     with open(out_dir / "utilities.csv", "w", encoding="utf-8") as fh:
         fh.write("index,u_a,u_b\n")
-        for i in range(len(ds)):
-            fh.write(f"{i},{utilities[i, 0]!r},{utilities[i, 1]!r}\n")
+        for i, (u_a, u_b) in enumerate(utilities.tolist()):  # Python floats, whose repr is the shortest round trip
+            fh.write(f"{i},{u_a!r},{u_b!r}\n")
     _write_resolved_config(out_dir, run, {"seed": seed})
     log.info("wrote %d samples to %s", len(ds), out_dir / "dataset.csv")
-
-
-def cmd_train(run: RunConfig, out_dir: Path | None, seed: int,
-              variant: str | None, resume: Path | None) -> dict:
-    summary, _ = run_single(run, seed, variant=variant, out_dir=out_dir, resume=resume)
-    if out_dir is not None:
-        _write_json(out_dir / "config.resolved.json",
-                    {**summary["config"], "seed": seed, "variant": summary["variant"]})
-    return summary
 
 
 _TABLE_METRICS = ("auc_a_student", "multi_auc_a_student", "auc_b_student", "multi_auc_b_student")
@@ -297,28 +273,26 @@ def cmd_ablate(run: RunConfig, out_dir: Path | None) -> list[dict]:
     return rows
 
 
-def cmd_corrupt_sweep(run: RunConfig, ratios, out_dir: Path | None,
-                      corrupt_task: str = "b") -> list[dict]:
-    """Corrupt one task's training labels at each ratio and retrain.
+CORRUPT_TASK = "b"  # the task whose training labels corrupt-sweep corrupts
+
+
+def cmd_corrupt_sweep(run: RunConfig, ratios, out_dir: Path | None) -> list[dict]:
+    """Corrupt task b's training labels at each ratio and retrain.
 
     Corruption touches the training split only; reported metrics are for the
-    other (target) task's student on the untouched test split.
+    task-a student on the untouched test split.
     """
-    target = "a" if corrupt_task == "b" else "b"
     if not ratios or not all(0.0 <= ratio <= 1.0 for ratio in ratios):
         raise ConfigError(f"corruption ratios must be a nonempty list of values in [0, 1], got {ratios}")
     rows = []
     for ratio in ratios:
-        summaries = [
-            run_single(run, seed, corrupt=(corrupt_task, ratio))[0]
-            for seed in run.seeds
-        ]
+        summaries = [run_single(run, seed, corrupt=(CORRUPT_TASK, ratio))[0] for seed in run.seeds]
         rows.append({"ratio": ratio, "n_seeds": len(run.seeds),
-                     **_seed_stats(summaries, (f"auc_{target}_student", f"multi_auc_{target}_student"))})
+                     **_seed_stats(summaries, ("auc_a_student", "multi_auc_a_student"))})
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / "curve_corruption.csv", rows)
-        _write_resolved_config(out_dir, run, {"ratios": list(ratios), "corrupt_task": corrupt_task})
+        _write_resolved_config(out_dir, run, {"ratios": list(ratios), "corrupt_task": CORRUPT_TASK})
     return rows
 
 
@@ -400,15 +374,17 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # inside the try: a --ratios/--grid type error is a ConfigError
         run = load_run_config(args.config)
-        seed = args.seed if args.seed is not None else run.seeds[0]
-        if seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {seed}")
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+            run = replace(run, seeds=(args.seed, *run.seeds[1:]))
+        seed = run.seeds[0]
         out = Path(args.out) if args.out else None
         if args.command == "gen-data":
             cmd_gen_data(run, out, seed)
         elif args.command == "train":
-            summary = cmd_train(run, out, seed, args.variant,
-                                Path(args.resume) if args.resume else None)
+            summary, _ = run_single(run, seed, variant=args.variant, out_dir=out,
+                                    resume=Path(args.resume) if args.resume else None)
             print(json.dumps(summary["metrics"], indent=2, sort_keys=True))
         else:
             if args.command == "ablate":

@@ -16,7 +16,7 @@ train/valid/test). Labels are strictly 0/1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class Dataset:
 
     ``vocab_sizes[f]`` is always at least 1 + the largest id seen in field
     ``f``. ``split_tags`` is None unless the source carried a split column.
+    Every array is read-only, so datasets derived from one another share the
+    arrays they do not change.
     """
 
     field_names: tuple[str, ...]
@@ -78,19 +80,15 @@ class Dataset:
     def __len__(self) -> int:
         return self.field_ids.shape[0]
 
-    @property
-    def n_fields(self) -> int:
-        return len(self.field_names)
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             self.field_names,
             self.vocab_sizes,
-            self.field_ids[idx].copy(),
-            self.y_a[idx].copy(),
-            self.y_b[idx].copy(),
-            None if self.split_tags is None else self.split_tags[idx].copy(),
+            self.field_ids[idx],
+            self.y_a[idx],
+            self.y_b[idx],
+            None if self.split_tags is None else self.split_tags[idx],
         )
 
 
@@ -354,7 +352,8 @@ def corrupt_labels(ds: Dataset, task: str, ratio: float, rng: np.random.Generato
 
     Picks floor(ratio * #positives) positives uniformly without replacement,
     an equal-sized uniform set of negatives, and flips both groups, so the
-    task's positive count is preserved exactly. The other task is untouched.
+    task's positive count is preserved exactly. The result shares every
+    other array with ``ds``.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"corruption ratio must lie in [0, 1], got {ratio}")
@@ -373,11 +372,4 @@ def corrupt_labels(ds: Dataset, task: str, ratio: float, rng: np.random.Generato
         flip_neg = rng.choice(neg, size=k, replace=False)
         y[flip_pos] = 0
         y[flip_neg] = 1
-    return Dataset(
-        ds.field_names,
-        ds.vocab_sizes,
-        ds.field_ids.copy(),
-        y if task == "a" else ds.y_a.copy(),
-        y if task == "b" else ds.y_b.copy(),
-        None if ds.split_tags is None else ds.split_tags.copy(),
-    )
+    return replace(ds, **{f"y_{task}": y})

@@ -2,14 +2,12 @@
 losses, Platt calibration of teacher logits, error correction, distillation,
 and the blended student loss.
 
-Sign conventions, once: the Platt map is an affine transform r_cal = P*r + Q
-of the raw teacher logit with the slope parameterized as P = -exp(rho) so it
-is always negative, and the calibrated probability is 1/(1 + exp(r_cal)),
-which is therefore strictly increasing in r (rankings survive calibration
-for any parameter values). Everything downstream of calibration (error
-correction, distillation, log loss) works with the equivalent
-sigmoid-convention logit -r_cal = exp(rho)*r - Q, i.e. the value whose
-sigmoid is the calibrated probability.
+Sign conventions, once: the Platt map takes a raw teacher logit r to the
+calibrated logit exp(rho)*r - q, whose sigmoid is the calibrated
+probability. The slope exp(rho) is always positive, so the calibrated
+probability is strictly increasing in r and rankings survive calibration for
+any parameter values. Error correction, distillation and log loss all read
+that one logit.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ class HyperParams:
 
 
 class CalibrationParams:
-    """Per-task Platt parameters (rho, q) with slope -exp(rho), all trainable."""
+    """Per-task Platt parameters (rho, q) with slope exp(rho), all trainable."""
 
     def __init__(self, rho_a=0.0, q_a=0.0, rho_b=0.0, q_b=0.0):
         self.rho_a = Tensor.scalar(rho_a, requires_grad=True)
@@ -96,7 +94,7 @@ class CalibrationParams:
             t.zero_grad()
 
     def calibrate_values(self, raw: np.ndarray, task: str) -> np.ndarray:
-        """Sigmoid-convention calibrated logits from plain values (no tape)."""
+        """``calibrate`` on plain values, off the tape, with the same bits."""
         rho, q = self.pair(task)
         return np.exp(rho.item()) * np.asarray(raw, dtype=np.float64) - q.item()
 
@@ -164,19 +162,14 @@ def quadruplet_loss(
     return ng.add(loss, ng.scalar_scale(bpr_loss(*second), beta2))
 
 
-def calibrate(raw_logits: Tensor, params: CalibrationParams, task: str) -> tuple[Tensor, Tensor]:
-    """Platt-scale raw teacher logits; returns (calibrated_logit, probability).
+def calibrate(raw_logits: Tensor, params: CalibrationParams, task: str) -> Tensor:
+    """Platt-scale raw teacher logits into the calibrated logit exp(rho)*r - q.
 
-    The probability is 1/(1 + exp(P*r + Q)) with P = -exp(rho) < 0; the
-    returned logit is its sigmoid-convention equivalent -(P*r + Q), so
-    ``sigmoid(calibrated_logit) == probability`` and both are strictly
-    increasing in the raw logit.
+    Its sigmoid is the calibrated probability, strictly increasing in the raw
+    logit.
     """
     rho, q = params.pair(task)
-    slope = ng.neg(ng.exp(rho))  # 1x1, always negative
-    affine = ng.add(ng.matmul(raw_logits, slope), q)
-    cal_logit = ng.neg(affine)
-    return cal_logit, ng.sigmoid(cal_logit)
+    return ng.add(ng.matmul(raw_logits, ng.exp(rho)), ng.neg(q))
 
 
 def calibration_loss(y_a, y_b, r_a_plus, r_b_plus, params: CalibrationParams) -> Tensor:
@@ -188,8 +181,7 @@ def calibration_loss(y_a, y_b, r_a_plus, r_b_plus, params: CalibrationParams) ->
     loss = None
     for task, labels, logits in (("a", y_a, r_a_plus), ("b", y_b, r_b_plus)):
         raw = logits.detach() if isinstance(logits, Tensor) else Tensor(_as_column(logits))
-        cal_logit, _ = calibrate(raw, params, task)
-        term = ce_from_logits(labels, cal_logit)
+        term = ce_from_logits(labels, calibrate(raw, params, task))
         loss = term if loss is None else ng.add(loss, term)
     return loss
 

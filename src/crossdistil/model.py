@@ -55,13 +55,15 @@ class ModelConfig:
         object.__setattr__(self, "tower_hidden", tuple(int(h) for h in self.tower_hidden))
 
 
-def _linear_params(rng, fan_in: int, fan_out: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    s = scale / np.sqrt(fan_in)
-    return rng.uniform(-s, s, size=(fan_in, fan_out)), rng.uniform(-s, s, size=(1, fan_out))
-
-
-def _mlp_params(rng, sizes: list[int], scale: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [_linear_params(rng, sizes[i], sizes[i + 1], scale) for i in range(len(sizes) - 1)]
+def _mlp(rng, sizes: list[int], scale: float) -> list[tuple[Tensor, Tensor]]:
+    """Trainable (weight, bias) pairs of an MLP, each drawn uniformly in
+    +-scale/sqrt(fan_in), weight before bias, layer by layer."""
+    layers = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        s = scale / np.sqrt(fan_in)
+        w = Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True)
+        layers.append((w, Tensor(rng.uniform(-s, s, size=(1, fan_out)), requires_grad=True)))
+    return layers
 
 
 class MultiTaskNet:
@@ -89,14 +91,12 @@ class MultiTaskNet:
         in_dim = d * len(self.vocab_sizes)
 
         if cfg.backbone == "shared_bottom":
-            self.trunk = self._grad_mlp(rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
-            backbone_out = cfg.hidden_sizes[-1]
+            self.trunk = _mlp(rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
         else:
             # shared experts plus one private expert per task; gates start at
             # zero so the initial mixture is exactly uniform
-            expert_sizes = [in_dim, *cfg.hidden_sizes]
             self.experts = [
-                self._grad_mlp(rng, expert_sizes, cfg.init_scale)
+                _mlp(rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
                 for _ in range(cfg.n_experts + 2)  # last two are private to a, b
             ]
             mix_width = cfg.n_experts + 1
@@ -107,19 +107,11 @@ class MultiTaskNet:
                 )
                 for task in TASKS
             }
-            backbone_out = cfg.hidden_sizes[-1]
 
         self.towers = {
-            head: self._grad_mlp(rng, [backbone_out, *cfg.tower_hidden, 1], cfg.init_scale)
+            head: _mlp(rng, [cfg.hidden_sizes[-1], *cfg.tower_hidden, 1], cfg.init_scale)
             for head in HEADS
         }
-
-    @staticmethod
-    def _grad_mlp(rng, sizes, scale) -> list[tuple[Tensor, Tensor]]:
-        return [
-            (Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
-            for w, b in _mlp_params(rng, sizes, scale)
-        ]
 
     # -- parameter plumbing -------------------------------------------------
 

@@ -8,8 +8,8 @@ order and adds d(loss)/d(t) into ``t.grad`` for every tensor that requires
 gradients, so repeated calls accumulate.
 
 Broadcasting is deliberately restricted: ``add`` accepts a 1 x n row vector
-against an m x n matrix (bias addition) and nothing else, which keeps every
-backward rule a one-liner. All arithmetic is float64.
+as its second operand against an m x n matrix (bias addition) and nothing
+else, which keeps every backward rule a one-liner. All arithmetic is float64.
 
 A graph is single-threaded. The recording switch used by ``no_grad`` is
 thread-local, so independent graphs may run on different threads.
@@ -108,20 +108,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; one operand may be a 1 x n row vector (bias)."""
+    """Elementwise add; ``b`` may be a 1 x n row vector (bias)."""
     if a.shape == b.shape:
         def bwd(g):
             return g, g
-    elif a.shape[0] == 1 and a.shape[1] == b.shape[1]:
-        def bwd(g):
-            return g.sum(axis=0, keepdims=True), g
     elif b.shape[0] == 1 and b.shape[1] == a.shape[1]:
         def bwd(g):
             return g, g.sum(axis=0, keepdims=True)
     else:
-        raise ShapeError(
-            f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcastable"
-        )
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} are neither equal nor matrix + row vector")
     return _make(a.values + b.values, "add", (a, b), bwd)
 
 

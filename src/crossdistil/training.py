@@ -153,12 +153,12 @@ class Sgd:
 class Adam:
     """Adam with bias correction; weight decay is classic L2 added to the grad."""
 
-    def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
         self.named_params = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(p.values) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.values) for name, p in self.named_params}

@@ -10,10 +10,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossdistil import cli
 from crossdistil.cli import main
+from crossdistil.data import SynthConfig, generate_synthetic
 from crossdistil.model import ModelConfig
 from crossdistil.training import VARIANTS, load_checkpoint
 
@@ -200,6 +202,32 @@ def test_sweeps_check_the_whole_grid_before_the_first_run(config, capsys, monkey
     assert main([argv[0], "--config", config, *argv[1:]]) == 2
     assert runs == []
     assert_one_line_error(capsys, "1.5")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate"],
+    ["corrupt-sweep", "--ratios", "0.1"],
+    ["sweep", "--param", "alpha", "--grid", "0.5"],
+])
+def test_seed_overrides_the_first_config_seed_of_every_command(tmp_path, monkeypatch, argv):
+    seeds = []
+    summary = {"metrics": dict.fromkeys(("auc_a_student", "multi_auc_a_student",
+                                         "auc_b_student", "multi_auc_b_student"), 0.5)}
+    monkeypatch.setattr(cli, "run_single", lambda run, seed, **kwargs: seeds.append(seed) or (summary, []))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "seeds": [0, 1]}), encoding="utf-8")
+    assert main([argv[0], "--config", str(path), "--seed", "5", *argv[1:]]) == 0
+    assert seeds[:2] == [5, 1] and set(seeds) == {5, 1}
+
+
+def test_gen_data_utilities_read_back_bit_for_bit(tmp_path, config):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", config, "--out", str(out)]) == 0
+    synth = SynthConfig(**CONFIG["data"]["synthetic"])
+    _, utilities = generate_synthetic(synth, np.random.default_rng(cli._derived_seeds(0)["data"]))
+    table = np.loadtxt(out / "utilities.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], np.arange(len(utilities)))
+    assert table[:, 1:].tobytes() == utilities.tobytes()
 
 
 def test_sweep_rejects_a_nan_grid_before_the_first_run(config, capsys, monkeypatch):

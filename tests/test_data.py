@@ -267,6 +267,17 @@ class TestCorruptLabels:
         assert out.y_a.sum() == n_pos
         assert (out.y_a != ds.y_a).sum() == 2 * k
 
+    @pytest.mark.parametrize("task", ["a", "b"])
+    def test_shares_the_arrays_it_does_not_change(self, rng, task):
+        ds = make_dataset([(1, 1), (0, 1), (1, 0), (0, 0)] * 3)
+        ds = Dataset(ds.field_names, ds.vocab_sizes, ds.field_ids, ds.y_a, ds.y_b, rng.integers(0, 3, size=12))
+        out = corrupt_labels(ds, task, 0.5, rng)
+        other = "b" if task == "a" else "a"
+        assert out.field_ids is ds.field_ids
+        assert getattr(out, f"y_{other}") is getattr(ds, f"y_{other}")
+        assert out.split_tags is ds.split_tags
+        assert not getattr(out, f"y_{task}").flags.writeable
+
     def test_insufficient_negatives_rejected(self, rng):
         ds = make_dataset([(1, 1), (1, 1), (1, 1), (0, 0)])
         with pytest.raises(DegenerateLabels, match="negatives"):
@@ -286,3 +297,14 @@ class TestDatasetInvariants:
         ds = make_dataset(rng.integers(0, 2, size=(5, 2)))
         with pytest.raises(ValueError):
             ds.y_a[0] = 1
+
+    def test_subset_arrays_are_read_only(self, rng):
+        ds = make_dataset(rng.integers(0, 2, size=(8, 2)))
+        ds = Dataset(ds.field_names, ds.vocab_sizes, ds.field_ids, ds.y_a, ds.y_b, rng.integers(0, 3, size=8))
+        sub = ds.subset([5, 1, 1])
+        np.testing.assert_array_equal(sub.field_ids, ds.field_ids[[5, 1, 1]])
+        for name in ("field_ids", "y_a", "y_b", "split_tags"):
+            arr = getattr(sub, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0

@@ -108,19 +108,20 @@ class TestQuadrupletLoss:
 
 class TestCalibrate:
     def test_identity_parameters_at_zero_logit(self):
-        _, prob = calibrate(col([0.0]), CalibrationParams(), "a")
+        prob = ng.sigmoid(calibrate(col([0.0]), CalibrationParams(), "a"))
         assert prob.item() == 0.5
 
     def test_identity_parameters_reduce_to_sigmoid(self, rng):
         r = rng.normal(size=16)
-        _, prob = calibrate(col(r), CalibrationParams(), "b")
+        prob = ng.sigmoid(calibrate(col(r), CalibrationParams(), "b"))
         np.testing.assert_allclose(prob.values[:, 0], 1 / (1 + np.exp(-r)), atol=1e-15)
 
     def test_affine_form_with_negative_slope(self, rng):
-        # prob must equal 1 / (1 + exp(P*r + Q)) with P = -exp(rho)
+        # the paper's form: prob = 1 / (1 + exp(P*r + Q)) with P = -exp(rho)
         params = CalibrationParams(rho_a=0.7, q_a=-0.3)
         r = rng.normal(size=10)
-        logit, prob = calibrate(col(r), params, "a")
+        logit = calibrate(col(r), params, "a")
+        prob = ng.sigmoid(logit)
         p_slope = -np.exp(0.7)
         np.testing.assert_allclose(prob.values[:, 0], 1 / (1 + np.exp(p_slope * r + (-0.3))), atol=1e-12)
         np.testing.assert_allclose(logit.values[:, 0], -(p_slope * r + (-0.3)), atol=1e-12)
@@ -131,15 +132,14 @@ class TestCalibrate:
                 rho_a=rng.normal(), q_a=rng.normal(), rho_b=rng.normal(), q_b=rng.normal())
             r = rng.normal(size=32)
             task = "a" if rng.random() < 0.5 else "b"
-            _, prob = calibrate(col(r), params, task)
+            prob = ng.sigmoid(calibrate(col(r), params, task))
             assert np.array_equal(np.argsort(prob.values[:, 0]), np.argsort(r))
 
     def test_calibrate_values_matches_tensor_path(self, rng):
         params = CalibrationParams(rho_a=0.2, q_a=1.1)
         r = rng.normal(size=8)
-        logit, _ = calibrate(col(r), params, "a")
-        np.testing.assert_allclose(
-            params.calibrate_values(r.reshape(-1, 1), "a"), logit.values, atol=1e-15)
+        logit = calibrate(col(r), params, "a")
+        np.testing.assert_array_equal(params.calibrate_values(r.reshape(-1, 1), "a"), logit.values)
 
 
 class TestCalibrationLoss:

@@ -203,6 +203,11 @@ class TestLogloss:
     def test_extreme_probabilities_clamped(self):
         assert np.isfinite(logloss([1, 0], [0.0, 1.0]))
 
+    @pytest.mark.parametrize("probabilities", [[np.nan, 0.5], [0.5, -np.nan], [-0.1, 0.5], [0.5, 1.5]])
+    def test_rejects_nan_and_out_of_range(self, probabilities):
+        with pytest.raises(ConfigError, match="^logloss: "):
+            logloss([1, 0], probabilities)
+
 
 class TestClassOf:
     @pytest.mark.parametrize("ya,yb,task,expected", [

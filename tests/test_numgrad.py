@@ -34,6 +34,10 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             ng.add(t([[1.0, 2.0], [3.0, 4.0]]), t([[1.0], [2.0]]))
 
+    def test_add_takes_the_row_vector_second_only(self):
+        with pytest.raises(ShapeError):
+            ng.add(t([[10.0, 20.0]]), t([[1.0, 2.0], [3.0, 4.0]]))
+
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ng.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))

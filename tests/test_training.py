@@ -4,6 +4,7 @@ parameters; the KD term never sends gradient to the teacher towers or the
 Platt parameters)."""
 
 import json
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -235,6 +236,38 @@ def test_records_forward_builds_only_the_heads_the_variant_reads(datasets, monke
     assert all_ops - ops == 4
     assert components == all_components
     assert one_step("crossdistil")[1] == 10
+
+
+def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch):
+    """Per task, the tape holds the Platt map (exp, matmul, neg, add) and the
+    cross-entropy on its logit (softplus, mul, neg, add, reduce_mean); one add
+    joins the tasks. No sigmoid is made, and backward reaches every node."""
+    train_ds = datasets[0]
+    cfg = T.TrainConfig(batch_size=8, seed=3)
+    state = T.init_state(ModelConfig(**MODEL), train_ds, cfg)
+    batch = T.sample_step_batch(state, partition(train_ds), len(train_ds), cfg, T.apply_variant(cfg.variant))
+    made, recorded = [], []
+    make = ng._make
+
+    def recording(values, op, parents, bwd):
+        out = make(values, op, parents, bwd)
+        made.append(op)
+        if out.requires_grad:
+            recorded.append(out)
+        return out
+
+    monkeypatch.setattr(ng, "_make", recording)
+    T.calibration_step(state, train_ds, batch)
+    assert "sigmoid" not in made
+    assert Counter(t.op for t in recorded) == {
+        "exp": 2, "matmul": 2, "neg": 4, "add": 5, "softplus": 2, "mul": 2, "reduce_mean": 2}
+    reached, stack = set(), [recorded[-1]]  # the last node made is the loss
+    while stack:
+        node = stack.pop()
+        if id(node) not in reached:
+            reached.add(id(node))
+            stack.extend(p for p in node._parents if p.requires_grad)
+    assert {id(t) for t in recorded} <= reached
 
 
 def test_no_auxiliary_rank_is_crossdistil_with_zero_betas():

@@ -26,6 +26,14 @@ from .numgrad import sigmoid_values as _sigmoid
 SPLIT_TAGS = ("train", "valid", "test")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if it is read-only, else a read-only view of it (no copy)."""
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column store of samples.
@@ -33,7 +41,8 @@ class Dataset:
     ``vocab_sizes[f]`` is always at least 1 + the largest id seen in field
     ``f``. ``split_tags`` is None unless the source carried a split column.
     Every array is read-only, so datasets derived from one another share the
-    arrays they do not change.
+    arrays they do not change. A writable input array is held through a
+    read-only view, so the caller's own array stays writable.
     """
 
     field_names: tuple[str, ...]
@@ -65,17 +74,14 @@ class Dataset:
                     raise ConfigError(
                         f"field '{name}': vocabulary size {self.vocab_sizes[f]} < 1 + max id {top}"
                     )
-        for arr in (ids, ya, yb):
-            arr.setflags(write=False)
-        object.__setattr__(self, "field_ids", ids)
-        object.__setattr__(self, "y_a", ya)
-        object.__setattr__(self, "y_b", yb)
+        object.__setattr__(self, "field_ids", _read_only(ids))
+        object.__setattr__(self, "y_a", _read_only(ya))
+        object.__setattr__(self, "y_b", _read_only(yb))
         if self.split_tags is not None:
             tags = np.asarray(self.split_tags, dtype=np.int64)
             if tags.shape != (ids.shape[0],):
                 raise ConfigError("split_tags must align with samples")
-            tags.setflags(write=False)
-            object.__setattr__(self, "split_tags", tags)
+            object.__setattr__(self, "split_tags", _read_only(tags))
 
     def __len__(self) -> int:
         return self.field_ids.shape[0]

@@ -123,12 +123,15 @@ def multi_auc(scores, classes, n_classes: int) -> float:
 
 
 def logloss(labels, probabilities) -> float:
-    """Mean binary cross-entropy; probabilities clamped away from 0 and 1, NaN rejected."""
+    """Mean binary cross-entropy; probabilities clamped away from 0 and 1, NaN
+    and empty input rejected."""
     y = np.asarray(labels, dtype=np.float64).ravel()
     p = np.asarray(probabilities, dtype=np.float64).ravel()
     if y.shape != p.shape:
         raise ConfigError(f"logloss: {y.shape[0]} labels vs {p.shape[0]} probabilities")
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # False for NaN, which min and max propagate
+    if not p.size:
+        raise ConfigError("logloss: no samples to score")
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # False for NaN, which min and max propagate
         raise ConfigError("logloss: probabilities must lie in [0, 1]")
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())

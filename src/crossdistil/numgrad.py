@@ -7,6 +7,13 @@ tensors and a closure that maps the output adjoint to input adjoints.
 order and adds d(loss)/d(t) into ``t.grad`` for every tensor that requires
 gradients, so repeated calls accumulate.
 
+Embedding tables stay row-sparse from ``row_gather`` to the update: its
+backward returns a ``RowGrad`` (the gathered indices and the upstream rows)
+instead of a table-sized array, ``backward`` adds those rows into a leaf's
+``grad`` and records them in ``grad_rows``, and ``zero_grad`` and the
+optimizers in ``training`` touch only the recorded rows. Every gradient has
+the bits the dense scatter-add would give.
+
 Broadcasting is deliberately restricted: ``add`` accepts a 1 x n row vector
 as its second operand against an m x n matrix (bias addition) and nothing
 else, which keeps every backward rule a one-liner. All arithmetic is float64.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +51,15 @@ def no_grad():
 
 
 class Tensor:
-    """A 2-D float64 array with an optional same-shape gradient accumulator."""
+    """A 2-D float64 array with an optional same-shape gradient accumulator.
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "_parents", "_bwd")
+    ``grad_rows`` says where ``grad`` may be nonzero: a sorted array of unique
+    row indices, or None when any entry may be (a dense gradient). Only
+    ``backward`` and ``zero_grad`` maintain it, so code that writes ``grad``
+    itself must set it to None.
+    """
+
+    __slots__ = ("values", "grad", "grad_rows", "requires_grad", "op", "_parents", "_bwd")
 
     def __init__(self, values, requires_grad=False, *, op="leaf", parents=(), bwd=None):
         arr = np.asarray(values, dtype=np.float64)
@@ -54,6 +68,7 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if self.requires_grad else None
+        self.grad_rows = None
         self.op = op
         self._parents = tuple(parents)
         self._bwd = bwd
@@ -76,11 +91,30 @@ class Tensor:
         return Tensor(self.values.copy())
 
     def zero_grad(self):
-        if self.grad is not None:
+        """Clear ``grad``: only the recorded ``grad_rows``, or all of it after
+        a dense gradient."""
+        if self.grad is None:
+            return
+        if self.grad_rows is None:
             self.grad[...] = 0.0
+        else:
+            self.grad[self.grad_rows] = 0.0
+        self.grad_rows = _NO_ROWS
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.setflags(write=False)
+
+
+class RowGrad(NamedTuple):
+    """A row-sparse adjoint of a table: ``rows[k]`` belongs to row ``idx[k]``,
+    and repeated indices add up."""
+
+    idx: np.ndarray
+    rows: np.ndarray
 
 
 def _make(values: np.ndarray, op: str, parents: tuple, bwd) -> Tensor:
@@ -241,7 +275,8 @@ def row_mix(weights: Tensor, *blocks: Tensor) -> Tensor:
 
 
 def row_gather(table: Tensor, indices) -> Tensor:
-    """Select rows of ``table``; backward scatter-adds into the table grad."""
+    """Select rows of ``table``; backward returns a ``RowGrad`` of the indices
+    and the upstream rows, which ``backward`` scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
     rows = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
@@ -250,9 +285,7 @@ def row_gather(table: Tensor, indices) -> Tensor:
     tv = table.values
 
     def bwd(g):
-        gt = np.zeros_like(tv)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return (RowGrad(idx, g),)
 
     return _make(tv[idx], "row_gather", (table,), bwd)
 
@@ -309,6 +342,15 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be 1x1. Tensors not on a path to the loss keep their grads
     untouched; calling twice adds the gradients twice.
+
+    A leaf whose every contribution is a ``RowGrad``, with fewer indices in
+    total than the table has rows, takes the row-sparse path: each
+    contribution is summed from zero in index order on a compact buffer over
+    the union of their rows, the sums are added in arrival order, and the
+    total goes into ``grad[rows]``, which ``grad_rows`` then records. Those are
+    the additions the dense path makes on those rows, so the bits agree.
+    Anything else is made dense first: a non-leaf, a mix with a dense
+    contribution, or a table small for its index count.
     """
     if loss.shape != (1, 1):
         raise UsageError(f"backward needs a 1x1 scalar loss; got shape {loss.shape}")
@@ -332,20 +374,61 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    # a node's adjoint: one dense array, or its RowGrads in arrival order
+    adjoint: dict[int, np.ndarray | list[RowGrad]] = {id(loss): np.ones((1, 1))}
     for node in reversed(topo):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
+        if isinstance(g, list):
+            if node._bwd is None and sum(r.idx.size for r in g) < node.shape[0]:
+                _add_rows(node, g)
+                continue
+            g = _dense(g, node.shape)
         node.grad += g
+        node.grad_rows = None
         if node._bwd is None:
             continue
         for parent, contrib in zip(node._parents, node._bwd(g)):
             if contrib is None or not parent.requires_grad:
                 continue
             pid = id(parent)
-            if pid in adjoint:
-                # never mutate in place: contributions may alias each other
-                adjoint[pid] = adjoint[pid] + contrib
+            prev = adjoint.get(pid)
+            if prev is None:
+                adjoint[pid] = [contrib] if isinstance(contrib, RowGrad) else contrib
+            elif isinstance(prev, list) and isinstance(contrib, RowGrad):
+                prev.append(contrib)
             else:
-                adjoint[pid] = contrib
+                # never mutate in place: contributions may alias each other
+                adjoint[pid] = _dense(prev, parent.shape) + _dense(contrib, parent.shape)
+
+
+def _scatter_sum(parts: list[RowGrad], positions, shape) -> np.ndarray:
+    """Scatter-add each RowGrad from zero, in index order, into a ``shape``
+    buffer at its ``positions``, then sum the buffers in arrival order."""
+    total = None
+    for r, pos in zip(parts, positions):
+        part = np.zeros(shape)
+        np.add.at(part, pos, r.rows)
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
+def _dense(g, shape) -> np.ndarray:
+    """An adjoint as one table-sized array."""
+    if isinstance(g, np.ndarray):
+        return g
+    parts = g if isinstance(g, list) else [g]
+    return _scatter_sum(parts, [r.idx for r in parts], shape)
+
+
+def _add_rows(leaf: Tensor, parts: list[RowGrad]) -> None:
+    """``_dense`` restricted to the rows the parts reach, added into ``leaf.grad``."""
+    rows, inv = np.unique(np.concatenate([r.idx for r in parts]), return_inverse=True)
+    positions = np.split(inv, np.cumsum([r.idx.size for r in parts[:-1]]))
+    leaf.grad[rows] += _scatter_sum(parts, positions, (rows.size, leaf.shape[1]))
+    if leaf.grad_rows is not None:
+        leaf.grad_rows = rows if leaf.grad_rows.size == 0 else np.union1d(leaf.grad_rows, rows)

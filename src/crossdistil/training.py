@@ -135,7 +135,12 @@ def apply_variant(variant: str) -> VariantWiring:
 
 
 class Sgd:
-    """Plain gradient descent with optional L2 weight decay folded into the grad."""
+    """Plain gradient descent with optional L2 weight decay folded into the grad.
+
+    Without weight decay a parameter whose ``grad_rows`` are recorded is
+    updated on those rows only, which gives the dense step's bits: every other
+    row has a zero gradient. Weight decay moves every row, so it stays dense.
+    """
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
         self.named_params = list(named_params)
@@ -144,14 +149,24 @@ class Sgd:
 
     def step(self):
         for _, p in self.named_params:
-            g = p.grad
             if self.weight_decay:
-                g = g + self.weight_decay * p.values
-            p.values -= self.lr * g
+                p.values -= self.lr * (p.grad + self.weight_decay * p.values)
+            elif p.grad_rows is None:
+                p.values -= self.lr * p.grad
+            else:
+                p.values[p.grad_rows] -= self.lr * p.grad[p.grad_rows]
 
 
 class Adam:
-    """Adam with bias correction; weight decay is classic L2 added to the grad."""
+    """Adam with bias correction; weight decay is classic L2 added to the grad.
+
+    Both moments decay over the whole table every step, but without weight
+    decay the gradient terms are added on the recorded ``grad_rows`` only, and
+    the update runs in place with two table-sized temporaries. Parameters and
+    ``v`` get the dense step's bits; ``m`` gets its numbers, except that a
+    moment decayed to -0.0 keeps its sign where adding a zero gradient would
+    make it +0.0. Weight decay gives every row a gradient, so it stays dense.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -168,16 +183,29 @@ class Adam:
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in self.named_params:
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.values
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            rows = None if self.weight_decay else p.grad_rows
+            if rows is None:
+                g = p.grad
+                if self.weight_decay:
+                    g = g + self.weight_decay * p.values
+                m += (1.0 - self.beta1) * g
+                v += (1.0 - self.beta2) * g * g
+            else:
+                g = p.grad[rows]
+                m[rows] += (1.0 - self.beta1) * g
+                v[rows] += (1.0 - self.beta2) * g * g
+            # lr * (m / c1) / (sqrt(v / c2) + eps) in place, in that expression's order, for its bits
+            step = m / c1
+            step *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.values -= step
 
 
 def make_optimizer(kind: str, named_params, lr: float, weight_decay: float = 0.0):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,22 @@ def check_gradients(loss_fn, tensors, rng, n_entries=6, rel=1e-4, absolute=1e-7)
             assert grad_close(analytic, numeric, rel, absolute), (
                 f"gradient mismatch at {t.op}[{r},{c}]: analytic={analytic} fd={numeric}"
             )
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, above what was live before,
+    as ``tracemalloc`` sees them (numpy reports its array buffers to it)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def tiny_net(seed=0, backbone="shared_bottom", tower_hidden=()) -> MultiTaskNet:

@@ -298,6 +298,19 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.y_a[0] = 1
 
+    def test_callers_arrays_stay_writable(self):
+        ids = np.array([[0], [1]], dtype=np.int64)
+        ya = np.array([1, 0], dtype=np.int64)
+        yb = np.array([0, 1], dtype=np.int64)
+        tags = np.array([0, 2], dtype=np.int64)
+        ds = Dataset(("u",), (2,), ids, ya, yb, tags)
+        for mine, name in ((ids, "field_ids"), (ya, "y_a"), (yb, "y_b"), (tags, "split_tags")):
+            assert mine.flags.writeable, name
+            held = getattr(ds, name)
+            assert np.shares_memory(held, mine), name  # a view, not a copy
+            with pytest.raises(ValueError):
+                held[0] = 0
+
     def test_subset_arrays_are_read_only(self, rng):
         ds = make_dataset(rng.integers(0, 2, size=(8, 2)))
         ds = Dataset(ds.field_names, ds.vocab_sizes, ds.field_ids, ds.y_a, ds.y_b, rng.integers(0, 3, size=8))

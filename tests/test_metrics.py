@@ -1,6 +1,8 @@
 """Metric tests: oracle agreement against O(N^2) enumeration, invariances,
 and the label-combination class ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,12 @@ class TestLogloss:
     def test_rejects_nan_and_out_of_range(self, probabilities):
         with pytest.raises(ConfigError, match="^logloss: "):
             logloss([1, 0], probabilities)
+
+    def test_rejects_empty_input(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^logloss: "):
+                logloss([], [])
 
 
 class TestClassOf:

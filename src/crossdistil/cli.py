@@ -35,6 +35,7 @@ import numpy as np
 from .data import (
     Dataset,
     SynthConfig,
+    check_fractions,
     corrupt_labels,
     generate_synthetic,
     load_csv,
@@ -79,10 +80,15 @@ def _build_run_config(raw: dict) -> RunConfig:
     synth_raw = data.get("synthetic")
     if (path is None) == (synth_raw is None):
         raise ConfigError("config data section needs exactly one of 'path' or 'synthetic'")
+    if path is not None and not (isinstance(path, str) and path):
+        raise ConfigError(f"config data.path must be a nonempty string, got {path!r}")
     data = {"path": path} if synth_raw is None else {"synthetic": SynthConfig(**synth_raw)}
 
     split = raw.get("split", {})
-    split = {"column": True} if split.get("column") else {"fractions": tuple(split.get("fractions", (0.8, 0.1, 0.1)))}
+    if split.get("column"):
+        split = {"column": True}
+    else:
+        split = {"fractions": check_fractions(split.get("fractions", [0.8, 0.1, 0.1]))}
 
     model = ModelConfig(**raw.get("model", {}))
 

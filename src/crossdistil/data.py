@@ -16,7 +16,9 @@ train/valid/test). Labels are strictly 0/1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -218,11 +220,21 @@ def save_csv(ds: Dataset, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def check_fractions(fractions) -> tuple[float, float, float]:
+    """The train/valid/test fractions as floats; raises ``ConfigError`` unless
+    they are three finite nonnegative real numbers (not bools) summing to 1."""
+    frac = tuple(fractions) if isinstance(fractions, (list, tuple)) else ()
+    ok = len(frac) == 3 and all(
+        isinstance(f, Real) and not isinstance(f, bool) and math.isfinite(f) and f >= 0 for f in frac)
+    if not ok or abs(sum(float(f) for f in frac) - 1.0) > 1e-9:
+        raise ConfigError(f"split.fractions must be three finite nonnegative numbers summing to 1, "
+                          f"got {fractions!r}")
+    return tuple(float(f) for f in frac)
+
+
 def split_dataset(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Random disjoint train/valid/test split; fractions must sum to 1."""
-    frac = tuple(float(f) for f in fractions)
-    if len(frac) != 3 or any(f < 0 for f in frac) or abs(sum(frac) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must be three nonnegative values summing to 1, got {frac}")
+    """Random disjoint train/valid/test split; see ``check_fractions``."""
+    frac = check_fractions(fractions)
     order = np.random.default_rng(seed).permutation(len(ds))
     n_train = int(round(frac[0] * len(ds)))
     n_valid = int(round(frac[1] * len(ds)))

@@ -9,6 +9,10 @@ head per task. Teacher towers consume the same backbone output as their
 task's student but own their parameters, so losses on one head cannot move
 another head's tower. A forward may ask for a subset of the heads; it then
 builds only those towers and the mixtures that feed them.
+
+The forward is built from ``numgrad``'s fused layer ops: one ``gather_cols``
+node for the embedding lookup of all fields, and one ``linear`` node per
+dense layer (trunk, expert, gate logits and tower layers).
 """
 
 from __future__ import annotations
@@ -153,22 +157,20 @@ class MultiTaskNet:
                 raise UsageError(f"field '{name}': id {bad} out of range [0, {vocab})")
 
     def _embed(self, ids: np.ndarray) -> Tensor:
-        return ng.concat_cols(*(ng.row_gather(table, ids[:, f]) for f, table in enumerate(self.embeddings)))
+        return ng.gather_cols(self.embeddings, ids)
 
     @staticmethod
     def _run_mlp(x: Tensor, layers, final_linear: bool) -> Tensor:
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            x = ng.add(ng.matmul(x, w), b)
-            if not (final_linear and i == last):
-                x = ng.relu(x)
+            x = ng.linear(x, w, b, relu=not (final_linear and i == last))
         return x
 
     def _mixture(self, x: Tensor, shared: list[Tensor], task: str) -> Tensor:
         """Gate ``task``'s mix of the shared expert outputs and its private expert."""
         private = self._run_mlp(x, self.experts[self.cfg.n_experts + TASKS.index(task)], final_linear=False)
         w, b = self.gates[task]
-        weights = ng.row_softmax(ng.add(ng.matmul(x, w), b))
+        weights = ng.row_softmax(ng.linear(x, w, b))
         return ng.row_mix(weights, *shared, private)
 
     def forward(self, field_ids, heads=HEADS) -> dict[str, Tensor]:

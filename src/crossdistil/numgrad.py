@@ -7,16 +7,23 @@ tensors and a closure that maps the output adjoint to input adjoints.
 order and adds d(loss)/d(t) into ``t.grad`` for every tensor that requires
 gradients, so repeated calls accumulate.
 
-Embedding tables stay row-sparse from ``row_gather`` to the update: its
-backward returns a ``RowGrad`` (the gathered indices and the upstream rows)
-instead of a table-sized array, ``backward`` adds those rows into a leaf's
-``grad`` and records them in ``grad_rows``, and ``zero_grad`` and the
-optimizers in ``training`` touch only the recorded rows. Every gradient has
-the bits the dense scatter-add would give.
+Embedding tables stay row-sparse from ``row_gather`` or ``gather_cols`` to
+the update: their backward returns a ``RowGrad`` per table (the gathered
+indices and the upstream rows) instead of a table-sized array, ``backward``
+adds those rows into a leaf's ``grad`` and records them in ``grad_rows``,
+and ``zero_grad`` and the optimizers in ``training`` touch only the recorded
+rows. Every gradient has the bits the dense scatter-add would give.
 
 Broadcasting is deliberately restricted: ``add`` accepts a 1 x n row vector
 as its second operand against an m x n matrix (bias addition) and nothing
 else, which keeps every backward rule a one-liner. All arithmetic is float64.
+
+Two fused ops record a whole layer as one tape node, since at small batch
+sizes the per-node bookkeeping costs more than the arithmetic: ``linear`` is
+``matmul`` -> ``add`` -> optional ``relu``, and ``gather_cols`` is one
+``row_gather`` per table joined by ``concat_cols``. Each performs the float
+operations of its chain in the same order, and the chain's intermediates had
+one consumer each, so gradients keep their bits. ``OPS`` names every op.
 
 A graph is single-threaded. The recording switch used by ``no_grad`` is
 thread-local, so independent graphs may run on different threads.
@@ -123,6 +130,14 @@ def _make(values: np.ndarray, op: str, parents: tuple, bwd) -> Tensor:
     if _recording() and any(p.requires_grad for p in parents):
         return Tensor(values, True, op=op, parents=parents, bwd=bwd)
     return Tensor(values, False, op=op)
+
+
+# the name of every tape op: each is a function below and the ``op`` it records
+OPS = (
+    "matmul", "add", "mul", "neg", "sigmoid", "exp", "log", "softplus", "relu", "linear",
+    "concat_cols", "row_mix", "row_gather", "gather_cols", "reduce_sum", "reduce_mean",
+    "row_softmax", "scalar_scale",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +258,28 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(av, 0.0), "relu", (a,), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b``, then relu when ``relu`` is set: the ``matmul`` -> ``add``
+    -> ``relu`` chain as one tape node, with the same float operations in the
+    same order forward and backward. As for any op, only the output is checked
+    for finiteness, so a pre-activation of -inf that relu clips to 0 passes."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
+    xv, wv = x.values, w.values
+    out = xv @ wv
+    out += b.values
+    if relu:
+        mask = out > 0
+        np.maximum(out, 0, out=out)
+
+    def bwd(g):
+        if relu:
+            g = g * mask
+        return g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _make(out, "linear", (x, w, b), bwd)
+
+
 def concat_cols(*parts: Tensor) -> Tensor:
     """Join one or more tensors with equal row counts side by side."""
     if any(p.shape[0] != parts[0].shape[0] for p in parts):
@@ -274,20 +311,41 @@ def row_mix(weights: Tensor, *blocks: Tensor) -> Tensor:
     return _make(out, "row_mix", (weights, *blocks), bwd)
 
 
+def _gather(tables, index_cols, op: str) -> Tensor:
+    """Rows ``index_cols[k]`` of each ``tables[k]``, side by side. Backward
+    returns one ``RowGrad`` per table: its indices and its column block of
+    the upstream rows, which ``backward`` scatter-adds into the table."""
+    idxs = []
+    for table, indices in zip(tables, index_cols):
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        rows = table.shape[0]
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            bad = idx[(idx < 0) | (idx >= rows)][0]
+            raise UsageError(f"{op}: index {bad} out of range for table with {rows} rows")
+        idxs.append(idx)
+    splits = np.cumsum([t.shape[1] for t in tables[:-1]])
+
+    def bwd(g):
+        return tuple(RowGrad(idx, part) for idx, part in zip(idxs, np.split(g, splits, axis=1)))
+
+    values = np.concatenate([t.values[idx] for t, idx in zip(tables, idxs)], axis=1)
+    return _make(values, op, tuple(tables), bwd)
+
+
 def row_gather(table: Tensor, indices) -> Tensor:
     """Select rows of ``table``; backward returns a ``RowGrad`` of the indices
     and the upstream rows, which ``backward`` scatter-adds into the table."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    rows = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        bad = idx[(idx < 0) | (idx >= rows)][0]
-        raise UsageError(f"row_gather: index {bad} out of range for table with {rows} rows")
-    tv = table.values
+    return _gather((table,), (indices,), "row_gather")
 
-    def bwd(g):
-        return (RowGrad(idx, g),)
 
-    return _make(tv[idx], "row_gather", (table,), bwd)
+def gather_cols(tables, ids) -> Tensor:
+    """Row ``ids[i, k]`` of ``tables[k]`` for every k, joined side by side:
+    ``concat_cols(*(row_gather(t, ids[:, k]) for k, t in enumerate(tables)))``
+    as one tape node, with the same values and the same ``RowGrad`` per table."""
+    ids = np.asarray(ids)
+    if not tables or ids.ndim != 2 or ids.shape[1] != len(tables):
+        raise ShapeError(f"gather_cols: ids of shape {ids.shape} do not fit {len(tables)} tables")
+    return _gather(tuple(tables), ids.T, "gather_cols")
 
 
 def reduce_sum(a: Tensor) -> Tensor:

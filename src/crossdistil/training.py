@@ -519,6 +519,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
                 src = saved[name]
                 if src.shape != dst.shape:
                     raise ConfigError(f"{path}: array {name} has shape {src.shape}, the model needs {dst.shape}")
+                if src.dtype != np.float64:  # a cast would change the bits that resume must keep
+                    raise ConfigError(f"{path}: array {name} has dtype {src.dtype}, the model needs float64")
                 dst[...] = src
             for part, opt in _adams(state).items():
                 opt.t = int(header["adam_t"][part])

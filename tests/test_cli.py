@@ -255,6 +255,29 @@ def test_non_integer_seeds_exit_2_at_load(tmp_path, capsys, monkeypatch, seeds):
     assert_one_line_error(capsys, "seeds")
 
 
+@pytest.mark.parametrize("path", [0, True, "", ["data.csv"], 1.5])
+def test_data_path_that_is_not_a_nonempty_string_exits_2_at_load(tmp_path, capsys, monkeypatch, path):
+    raw = {**CONFIG, "data": {"path": path}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(cli, "load_csv", None)  # no file may be opened, a descriptor least of all
+    assert main(["train", "--config", str(config)]) == 2
+    assert_one_line_error(capsys, "data.path")
+
+
+@pytest.mark.parametrize("fractions", [
+    "abc", [0.5, None, 0.5], [True, 0, 0], [0.5, 0.5], [0.5, float("nan"), 0.5], [1.5, -0.5, 0.0],
+    [0.5, 0.3, 0.3], ["0.5", 0.25, 0.25], None, {"train": 1.0},
+])
+def test_bad_split_fractions_exit_2_at_load(tmp_path, capsys, monkeypatch, fractions):
+    raw = {**CONFIG, "split": {"fractions": fractions}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", str(config)]) == 2
+    assert_one_line_error(capsys, "split.fractions")
+
+
 def test_python_dash_m_runs_the_command_line():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}

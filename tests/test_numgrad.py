@@ -119,6 +119,73 @@ class TestForwardValues:
             Tensor(np.zeros((2, 2, 2)))
 
 
+class TestFusedOpsMatchTheirChains:
+    """``linear`` and ``gather_cols`` give the bytes of the op chains they fuse:
+    forward values, and every gradient under an adjoint summed from two uses."""
+
+    @staticmethod
+    def run(fwd, leaves, rng_seed=5):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = fwd()
+        rng = np.random.default_rng(rng_seed)
+        p1, p2 = (t(rng.normal(size=out.shape)) for _ in range(2))
+        ng.backward(ng.add(ng.reduce_sum(ng.mul(out, p1)), ng.reduce_sum(ng.mul(out, p2))))
+        rows = [None if leaf.grad_rows is None else leaf.grad_rows.tolist() for leaf in leaves]
+        return out.values.tobytes(), [leaf.grad.tobytes() for leaf in leaves], rows
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_linear(self, rng, relu):
+        x = t(rng.normal(size=(7, 4)), requires_grad=True)
+        w = t(rng.normal(size=(4, 5)), requires_grad=True)
+        b = t(rng.normal(size=(1, 5)), requires_grad=True)
+        x.values[0, :] = 0.0  # a row whose pre-activation is exactly the bias
+
+        def chain():
+            out = ng.add(ng.matmul(x, w), b)
+            return ng.relu(out) if relu else out
+
+        fused = self.run(lambda: ng.linear(x, w, b, relu=relu), (x, w, b))
+        assert fused == self.run(chain, (x, w, b))
+        if relu:
+            assert 0.0 in np.frombuffer(fused[0])
+
+    @pytest.mark.parametrize("rows", [1000, 6], ids=["row_sparse", "dense"])
+    def test_gather_cols(self, rows):
+        rng = np.random.default_rng(3)
+        tables = [t(rng.normal(size=(rows, d)), requires_grad=True) for d in (3, 1, 2)]
+        ids = rng.integers(0, 6, size=(9, 3))
+        ids[:4] = ids[4:8]  # repeated indices within every column
+
+        def chain():
+            return ng.concat_cols(*(ng.row_gather(tb, ids[:, f]) for f, tb in enumerate(tables)))
+
+        def twice(fwd):  # two lookups reach each table, as two forwards of a step do
+            return lambda: ng.concat_cols(fwd(), fwd())
+
+        fused = self.run(twice(lambda: ng.gather_cols(tables, ids)), tables)
+        assert fused == self.run(twice(chain), tables)
+        assert all((r is None) == (rows == 6) for r in fused[2])
+
+    def test_linear_shape_errors(self):
+        x, w = t(np.ones((2, 3))), t(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match=r"linear: .*\(2, 3\) @ \(4, 3\)"):
+            ng.linear(x, t(np.ones((4, 3))), t(np.ones((1, 3))))
+        for bias in (np.ones((1, 3)), np.ones((2, 4)), np.ones((4, 1))):
+            with pytest.raises(ShapeError, match="linear"):
+                ng.linear(x, w, t(bias))
+
+    def test_gather_cols_shape_and_range_errors(self):
+        tables = [t(np.ones((3, 2))), t(np.ones((4, 1)))]
+        for ids in ([0, 1], [[0, 1, 2]], [[[0, 1]]], np.zeros((2, 0), dtype=int)):
+            with pytest.raises(ShapeError, match="gather_cols"):
+                ng.gather_cols(tables, ids)
+        with pytest.raises(ShapeError, match="gather_cols"):
+            ng.gather_cols([], np.zeros((2, 0), dtype=int))
+        with pytest.raises(UsageError, match="gather_cols: index 4 out of range for table with 4 rows"):
+            ng.gather_cols(tables, [[0, 0], [2, 4]])
+
+
 class TestBackward:
     def test_reduce_sum_grad_is_ones(self, rng):
         x = t(rng.normal(size=(3, 4)), requires_grad=True)
@@ -231,6 +298,16 @@ def _random_instance(op_name, rng):
         idx = rng.integers(0, m + 2, size=m)
         fwd = lambda: ng.row_gather(a, idx)
         tensors = (a,)
+    elif op_name == "gather_cols":
+        tables = [mk((m + 2, n)), mk((m + 1, n + 1))]
+        ids = np.stack([rng.integers(0, tb.shape[0], size=m) for tb in tables], axis=1)
+        fwd = lambda: ng.gather_cols(tables, ids)
+        tensors = tuple(tables)
+    elif op_name in ("linear", "linear_relu"):
+        k = int(rng.integers(2, 4))
+        x, w, b = mk((m, k)), mk((k, n)), mk((1, n))
+        fwd = lambda: ng.linear(x, w, b, relu=op_name == "linear_relu")
+        tensors = (x, w, b)
     elif op_name == "log":
         a = Tensor(rng.uniform(0.5, 3.0, size=(m, n)), requires_grad=True)
         fwd = lambda: ng.log(a)
@@ -252,10 +329,20 @@ def _random_instance(op_name, rng):
 
 
 ALL_OPS = (
-    "matmul", "add", "mul", "neg", "sigmoid", "exp", "log", "softplus", "relu",
-    "concat_cols", "row_mix", "row_gather", "reduce_sum", "reduce_mean", "row_softmax",
+    "matmul", "add", "mul", "neg", "sigmoid", "exp", "log", "softplus", "relu", "linear", "linear_relu",
+    "concat_cols", "row_mix", "row_gather", "gather_cols", "reduce_sum", "reduce_mean", "row_softmax",
     "scalar_scale",
 )
+
+
+def test_every_op_has_a_finite_difference_case():
+    assert {op.removesuffix("_relu") for op in ALL_OPS} == set(ng.OPS)
+
+
+def test_ops_names_the_numgrad_functions():
+    assert len(set(ng.OPS)) == len(ng.OPS)
+    for op in ng.OPS:
+        assert callable(getattr(ng, op)) and getattr(ng, op).__module__ == ng.__name__, op
 
 
 @pytest.mark.parametrize("op_name", ALL_OPS)

@@ -4,6 +4,7 @@ parameters; the KD term never sends gradient to the teacher towers or the
 Platt parameters)."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -69,21 +70,34 @@ def test_checkpoint_roundtrip_bit_exact(datasets, tmp_path, backbone, optimizer)
         assert before[head].values.tobytes() == after[head].values.tobytes(), head
 
 
-@pytest.mark.parametrize("damage", ("drop", "reshape"))
+DAMAGE = {  # how a checkpoint member is damaged -> (the member, what the error says)
+    "drop": ("opt_model.v.tower.b.0.w", "differ in"),
+    "reshape": ("emb.user", "has shape"),
+    # a cast on load would break exact resume: float32 turns 0.1 into 0.10000000149011612
+    "float32": ("tower.a.0.w", "has dtype float32"),
+    "int64": ("opt_model.m.emb.item", "has dtype int64"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
 def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage):
     cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=1, seed=8)
     path = tmp_path / "run.ckpt"
     T.save_checkpoint(path, T.train(*datasets, ModelConfig(**MODEL), cfg)[0], cfg)
     with np.load(path) as z:
         arrays = dict(z)
+    member, says = DAMAGE[damage]
     if damage == "drop":
-        del arrays["opt_model.v.tower.b.0.w"]
+        del arrays[member]
+    elif damage == "reshape":
+        arrays[member] = arrays[member][:-1]
     else:
-        arrays["emb.user"] = arrays["emb.user"][:-1]
+        arrays[member] = arrays[member].astype(damage)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(ConfigError, match="opt_model.v.tower.b.0.w" if damage == "drop" else "emb.user"):
+    with pytest.raises(ConfigError, match=re.escape(member)) as exc:
         T.load_checkpoint(path)
+    assert says in str(exc.value)
 
 
 @pytest.mark.parametrize("optimizer", ("sgd", "adam"))
@@ -211,9 +225,9 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 def test_records_forward_builds_only_the_heads_the_variant_reads(datasets, monkeypatch):
     """A ``backbone`` step reads only the students' logits of the records, so on
-    gated_experts it records 4 tape ops (the two teacher towers' matmul and
-    bias add) fewer than a step whose records forward builds all four heads,
-    and reports the same losses. A crossdistil step still makes 10 forwards."""
+    gated_experts it records 2 tape ops (one ``linear`` per teacher tower)
+    fewer than a step whose records forward builds all four heads, and reports
+    the same losses. A crossdistil step still makes 10 forwards."""
     train_ds = datasets[0]
     model_cfg = ModelConfig(backbone="gated_experts", **MODEL)
     part = partition(train_ds)
@@ -233,9 +247,48 @@ def test_records_forward_builds_only_the_heads_the_variant_reads(datasets, monke
     ops, forwards, components = one_step("backbone")
     all_ops, all_forwards, all_components = one_step("backbone", all_heads=True)
     assert (forwards, all_forwards) == (1, 1)
-    assert all_ops - ops == 4
+    assert all_ops - ops == 2
     assert components == all_components
     assert one_step("crossdistil")[1] == 10
+
+
+def _step_ops(monkeypatch, train_ds, backbone, variant) -> tuple[Counter, int]:
+    """The op names ``_make`` records in one ``train_step``, and the forwards it makes."""
+    cfg = T.TrainConfig(batch_size=8, variant=variant, seed=3)
+    state = T.init_state(ModelConfig(backbone=backbone, **MODEL), train_ds, cfg)
+    made = []
+    make = ng._make
+
+    def recording(values, op, parents, bwd):
+        made.append(op)
+        return make(values, op, parents, bwd)
+
+    with monkeypatch.context() as m:
+        m.setattr(ng, "_make", recording)
+        forwards = _count_calls(m, MultiTaskNet, "forward")
+        T.train_step(state, train_ds, partition(train_ds), cfg)
+    return Counter(made), len(forwards)
+
+
+def test_crossdistil_gated_step_records_one_op_per_layer(datasets, monkeypatch):
+    """Each of the 10 forwards records one ``gather_cols`` and one ``linear`` per
+    dense layer it runs: the 2 shared experts, a private expert and a gate per
+    task it feeds, and a tower per head. That is 10 for the records, 8 for each
+    of the 4 quadruplet subsets and for the calibration forward, and 5 for each
+    of the 4 pair unions. The losses and the Platt map make up the rest."""
+    ops, forwards = _step_ops(monkeypatch, datasets[0], "gated_experts", "crossdistil")
+    assert forwards == 10
+    assert ops == {
+        "gather_cols": 10, "linear": 70, "row_softmax": 16, "row_mix": 16, "add": 24, "mul": 8, "neg": 20,
+        "softplus": 14, "scalar_scale": 14, "reduce_mean": 12, "exp": 2, "matmul": 2}
+    assert sum(ops.values()) == 208
+
+
+@pytest.mark.parametrize("variant", T.VARIANTS)
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_every_recorded_op_is_in_the_op_table(datasets, monkeypatch, backbone, variant):
+    ops, _ = _step_ops(monkeypatch, datasets[0], backbone, variant)
+    assert ops and set(ops) <= set(ng.OPS)
 
 
 def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch):

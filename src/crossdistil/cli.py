@@ -16,8 +16,9 @@ last three set the parameter of both tasks.
 The config file is JSON with sections ``data`` (either ``{"path": ...}`` or
 ``{"synthetic": {...}}``), ``split`` (``{"fractions": [0.8, 0.1, 0.1]}`` or
 ``{"column": true}``), ``model``, ``train`` (with nested ``hyper``), and
-``seeds``. Every command is deterministic given (config, seed); outputs
-carry the resolved config alongside for provenance.
+``seeds``; any key these do not define is an error. Every command is
+deterministic given (config, seed); outputs carry the resolved config
+alongside for provenance.
 """
 
 from __future__ import annotations
@@ -74,8 +75,19 @@ class RunConfig:
     seeds: tuple[int, ...]
 
 
+def _check_keys(section, known, where: str = "") -> None:
+    """Raise unless ``section`` is a dict whose keys are all in ``known``; ``where`` prefixes key names."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {where.rstrip('.')} must be a JSON object, got {section!r}")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key '{where}{key}', expected one of {known}")
+
+
 def _build_run_config(raw: dict) -> RunConfig:
+    _check_keys(raw, ("data", "split", "model", "train", "seeds"))
     data = raw.get("data", {})
+    _check_keys(data, ("path", "synthetic"), "data.")
     path = data.get("path")
     synth_raw = data.get("synthetic")
     if (path is None) == (synth_raw is None):
@@ -85,6 +97,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     data = {"path": path} if synth_raw is None else {"synthetic": SynthConfig(**synth_raw)}
 
     split = raw.get("split", {})
+    _check_keys(split, ("fractions", "column"), "split.")
     if split.get("column"):
         split = {"column": True}
     else:
@@ -379,13 +392,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)  # inside the try: a --ratios/--grid type error is a ConfigError
+        out = Path(args.out) if args.out else None
+        if out is not None:
+            existing = next(p for p in (out, *out.parents) if p.exists())  # out or its nearest existing parent
+            if not existing.is_dir():
+                raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
         run = load_run_config(args.config)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
             run = replace(run, seeds=(args.seed, *run.seeds[1:]))
         seed = run.seeds[0]
-        out = Path(args.out) if args.out else None
         if args.command == "gen-data":
             cmd_gen_data(run, out, seed)
         elif args.command == "train":

@@ -22,7 +22,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateLabels, require_ints
+from .errors import ConfigError, DataError, DegenerateLabels, require_ints, require_positive
 from .numgrad import sigmoid_values as _sigmoid
 
 SPLIT_TAGS = ("train", "valid", "test")
@@ -292,8 +292,7 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.n_context_fields < 0:
             raise ConfigError("n_context_fields must be nonnegative")
-        if self.utility_scale <= 0:
-            raise ConfigError("utility_scale must be positive")
+        require_positive(self, ("utility_scale",))
 
     def field_names(self) -> tuple[str, ...]:
         return ("user", "item") + tuple(f"ctx{i}" for i in range(self.n_context_fields))

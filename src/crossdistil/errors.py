@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check of config fields."""
+"""Exception types shared across the package, and the integer and positive-number checks of config fields."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class CrossDistilError(Exception):
@@ -30,6 +31,14 @@ def require_ints(config, names) -> None:
         for v in value if isinstance(value, (tuple, list)) else (value,):
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
+
+
+def require_positive(config, names) -> None:
+    """Raise naming the first of ``names`` whose value is not a finite positive real number."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:  # NaN fails too
+            raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
 
 
 class DataError(CrossDistilError):

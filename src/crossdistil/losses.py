@@ -169,7 +169,7 @@ def calibrate(raw_logits: Tensor, params: CalibrationParams, task: str) -> Tenso
     logit.
     """
     rho, q = params.pair(task)
-    return ng.add(ng.matmul(raw_logits, ng.exp(rho)), ng.neg(q))
+    return ng.linear(raw_logits, ng.exp(rho), ng.neg(q))
 
 
 def calibration_loss(y_a, y_b, r_a_plus, r_b_plus, params: CalibrationParams) -> Tensor:

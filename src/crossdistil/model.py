@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ConfigError, UsageError, require_ints
+from .errors import ConfigError, UsageError, require_ints, require_positive
 from .numgrad import Tensor
 
-HEADS = ("a", "b", "a_plus", "b_plus")
 TASKS = ("a", "b")
+TEACHERS = tuple(f"{task}_plus" for task in TASKS)
+HEADS = TASKS + TEACHERS
 BACKBONES = ("shared_bottom", "gated_experts")
 
 
@@ -53,8 +54,7 @@ class ModelConfig:
             raise ConfigError("hidden_sizes must be a nonempty tuple of positive ints")
         if any(h < 1 for h in self.tower_hidden):
             raise ConfigError("tower_hidden sizes must be positive")
-        if self.init_scale <= 0:
-            raise ConfigError("init_scale must be positive")
+        require_positive(self, ("init_scale",))
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "tower_hidden", tuple(int(h) for h in self.tower_hidden))
 

@@ -3,7 +3,8 @@ teacher and student losses, then a calibration-parameter step on the Platt
 cross-entropy, alternating every iteration. Also hosts the ablation-variant
 wiring, evaluation, and checkpoint IO.
 
-The variants, in the order of the paper's ablation table:
+The variants are the keys of ``_WIRING``, in the order of the paper's
+ablation table; ``VARIANTS`` names them in that order:
 
 - ``crossdistil``: the full method (ranking teachers, calibration, correction, KD).
 - ``no_auxiliary_rank``: w/o auxiliary ranking; crossdistil with zero betas.
@@ -48,25 +49,41 @@ from . import losses as L
 from . import metrics as M
 from . import numgrad as ng
 from .data import PAIRS, QUADS, Dataset, LabelPartition, partition, sample
-from .errors import ConfigError, NumericError, TrainingAborted, require_ints
+from .errors import ConfigError, NumericError, TrainingAborted, require_ints, require_positive
 from .losses import CalibrationParams, HyperParams
-from .model import HEADS, TASKS, ModelConfig, MultiTaskNet
+from .model import HEADS, TASKS, TEACHERS, ModelConfig, MultiTaskNet
 from .numgrad import Tensor
 
 log = logging.getLogger(__name__)
 
-VARIANTS = (
-    "crossdistil",
-    "no_auxiliary_rank",
-    "no_calibration",
-    "no_correction",
-    "kd_same_task",
-    "kd_cross_task_direct",
-    "taug",
-    "backbone",
-)
 
-TEACHERS = tuple(f"{task}_plus" for task in TASKS)
+@dataclass(frozen=True)
+class VariantWiring:
+    """Which loss paths a variant activates."""
+
+    teachers: str  # teacher heads train with "rank" (the quadruplet ranking loss), "ce" (plain CE), or "off"
+    distill: str  # each student distils from its "teacher", the other task's student ("cross_student"), or "off"
+    calibrated: bool  # fit Platt parameters each iteration and calibrate the KD targets
+    corrected: bool  # clamp distillation targets toward the hard labels
+
+
+_WIRING = {
+    "crossdistil": VariantWiring("rank", "teacher", True, True),
+    "no_auxiliary_rank": VariantWiring("rank", "teacher", True, True),
+    "no_calibration": VariantWiring("rank", "teacher", False, True),
+    "no_correction": VariantWiring("rank", "teacher", True, False),
+    "kd_same_task": VariantWiring("ce", "teacher", False, False),
+    "kd_cross_task_direct": VariantWiring("off", "cross_student", False, False),
+    "taug": VariantWiring("rank", "off", False, False),
+    "backbone": VariantWiring("off", "off", False, False),
+}
+VARIANTS = tuple(_WIRING)
+
+
+def apply_variant(variant: str) -> VariantWiring:
+    if variant not in _WIRING:
+        raise ConfigError(f"unknown variant {variant!r}")
+    return _WIRING[variant]
 
 
 @dataclass(frozen=True)
@@ -83,50 +100,20 @@ class TrainConfig:
 
     def __post_init__(self):
         require_ints(self, ("batch_size", "steps", "eval_interval", "seed"))
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
+        require_positive(self, ("gamma1", "gamma2"))
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
         if self.eval_interval < 1:
             raise ConfigError("eval_interval must be at least 1")
-        if self.variant not in VARIANTS:
+        if self.variant not in _WIRING:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "no_auxiliary_rank":
             object.__setattr__(self, "hyper", replace(
                 self.hyper, beta1_a=0.0, beta2_a=0.0, beta1_b=0.0, beta2_b=0.0))
-
-
-@dataclass(frozen=True)
-class VariantWiring:
-    """Which loss paths a variant activates."""
-
-    rank_teachers: bool  # teacher heads trained with the quadruplet ranking loss
-    regression_teachers: bool  # teacher heads trained with plain CE (vanilla-KD setup)
-    distill: str  # "teacher", "cross_student", or "off"
-    calibrated: bool  # fit Platt parameters each iteration and calibrate the KD targets
-    corrected: bool  # clamp distillation targets toward the hard labels
-
-
-_WIRING = {
-    "crossdistil": VariantWiring(True, False, "teacher", True, True),
-    "no_auxiliary_rank": VariantWiring(True, False, "teacher", True, True),
-    "no_calibration": VariantWiring(True, False, "teacher", False, True),
-    "no_correction": VariantWiring(True, False, "teacher", True, False),
-    "kd_same_task": VariantWiring(False, True, "teacher", False, False),
-    "kd_cross_task_direct": VariantWiring(False, False, "cross_student", False, False),
-    "taug": VariantWiring(True, False, "off", False, False),
-    "backbone": VariantWiring(False, False, "off", False, False),
-}
-
-
-def apply_variant(variant: str) -> VariantWiring:
-    if variant not in _WIRING:
-        raise ConfigError(f"unknown variant {variant!r}")
-    return _WIRING[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +195,7 @@ class Adam:
             p.values -= step
 
 
-def make_optimizer(kind: str, named_params, lr: float, weight_decay: float = 0.0):
-    if kind == "sgd":
-        return Sgd(named_params, lr, weight_decay)
-    if kind == "adam":
-        return Adam(named_params, lr, weight_decay)
-    raise ConfigError(f"unknown optimizer {kind!r}")
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +226,8 @@ def _build_state(model_cfg: ModelConfig, vocab_sizes, field_names, cfg: TrainCon
     return TrainState(
         net=net,
         calibration=cal,
-        opt_model=make_optimizer(cfg.optimizer, net.named_parameters(), cfg.gamma1, cfg.hyper.weight_decay),
-        opt_calibration=make_optimizer(cfg.optimizer, cal.named_parameters(), cfg.gamma2, 0.0),
+        opt_model=OPTIMIZERS[cfg.optimizer](net.named_parameters(), cfg.gamma1, cfg.hyper.weight_decay),
+        opt_calibration=OPTIMIZERS[cfg.optimizer](cal.named_parameters(), cfg.gamma2, 0.0),
         step=0,
         rng_records=np.random.default_rng(seeds[0]),
         rng_quads=np.random.default_rng(seeds[1]),
@@ -258,7 +240,7 @@ def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
     """Everything one iteration samples before touching the model, by row-set name."""
     b = cfg.batch_size
     batch = {"records": state.rng_records.integers(0, n_train, size=b)}
-    if wiring.rank_teachers:
+    if wiring.teachers == "rank":
         if any(v > 0 for task in TASKS for v in cfg.hyper.beta(task)):
             batch.update(sample(part, QUADS, b, state.rng_quads))
         batch.update(sample(part, PAIRS["a"] + PAIRS["b"], b, state.rng_pairs))
@@ -286,11 +268,11 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
 
     records = batch["records"]
     labels = {"a": ds.y_a[records], "b": ds.y_b[records]}
-    reads_teachers = wiring.regression_teachers or wiring.distill == "teacher"
+    reads_teachers = wiring.teachers == "ce" or wiring.distill == "teacher"
     heads = state.net.forward(ds.field_ids[records], HEADS if reads_teachers else TASKS)
 
     teacher_losses: dict[str, Tensor] = {}
-    if wiring.rank_teachers:
+    if wiring.teachers == "rank":
         quad_heads = [state.net.forward(ds.field_ids[batch[name]], TEACHERS) for name in QUADS if name in batch]
         for task in TASKS:
             teacher = f"{task}_plus"
@@ -300,7 +282,7 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
             else:
                 loss = L.bpr_loss(pos, neg)
             teacher_losses[task] = loss
-    elif wiring.regression_teachers:
+    elif wiring.teachers == "ce":
         for task in TASKS:
             teacher_losses[task] = L.ce_from_logits(labels[task], heads[f"{task}_plus"])
     for task, loss in teacher_losses.items():

@@ -4,6 +4,7 @@ one-line error on bad input."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,15 @@ def test_empty_ratio_list_exits_2(tmp_path, config, capsys):
     assert not out.exists()
 
 
+def write_field(tmp_path, section, name, value) -> str:
+    """Write CONFIG with field ``name`` of ``section`` (``data`` meaning ``data.synthetic``) set to ``value``."""
+    raw = json.loads(json.dumps(CONFIG))
+    (raw["data"]["synthetic"] if section == "data" else raw[section])[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")  # NaN and inf as JSON's NaN and Infinity
+    return str(path)
+
+
 @pytest.mark.parametrize("section, name, value", [
     ("train", "batch_size", 8.5),
     ("train", "steps", 2.5),
@@ -183,13 +193,56 @@ def test_empty_ratio_list_exits_2(tmp_path, config, capsys):
     ("data", "n_users", 20.5),
 ])
 def test_non_integer_config_field_exits_2_at_load(tmp_path, capsys, monkeypatch, section, name, value):
+    path = write_field(tmp_path, section, name, value)
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", path]) == 2
+    assert_one_line_error(capsys, name, "must be an integer")
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("train", "gamma1", math.inf),
+    ("train", "gamma2", math.inf),
+    ("train", "gamma1", 0.0),
+    ("model", "init_scale", math.nan),
+    ("model", "init_scale", math.inf),
+    ("data", "utility_scale", math.nan),
+    ("train", "gamma2", "0.05"),
+    ("data", "utility_scale", True),
+])
+def test_bad_scale_exits_2_at_load(tmp_path, capsys, monkeypatch, section, name, value):
+    path = write_field(tmp_path, section, name, value)
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", path]) == 2
+    assert_one_line_error(capsys, name, "must be a finite positive number")
+
+
+@pytest.mark.parametrize("section, key", [("", "modle"), ("data", "pth"), ("split", "colum")])
+def test_unknown_config_key_exits_2_at_load(tmp_path, capsys, monkeypatch, section, key):
     raw = json.loads(json.dumps(CONFIG))
-    (raw["data"]["synthetic"] if section == "data" else raw[section])[name] = value
+    (raw[section] if section else raw)[key] = True
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
     assert main(["train", "--config", str(path)]) == 2
-    assert_one_line_error(capsys, name, "must be an integer")
+    assert_one_line_error(capsys, f"unknown config key '{section + '.' if section else ''}{key}'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data"],
+    ["train"],
+    ["ablate"],
+    ["corrupt-sweep", "--ratios", "0.1"],
+    ["sweep", "--param", "alpha", "--grid", "0.5"],
+])
+def test_out_under_an_existing_file_exits_2_before_any_work(tmp_path, config, capsys, monkeypatch, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # no data may be made
+    monkeypatch.setattr(cli, "run_single", None)  # and no run started
+    for out in (taken, taken / "sub"):
+        assert main([argv[0], "--config", config, "--out", str(out), *argv[1:]]) == 2
+        assert_one_line_error(capsys, "--out", f"{taken} exists and is not a directory")
+    assert taken.read_text(encoding="utf-8") == "kept"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 """Unit tests for the autodiff engine: op semantics, gradient correctness
 against central finite differences, accumulation, and determinism."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -347,7 +349,7 @@ def test_ops_names_the_numgrad_functions():
 
 @pytest.mark.parametrize("op_name", ALL_OPS)
 def test_every_op_gradient_against_finite_difference(op_name):
-    rng = np.random.default_rng(hash(op_name) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     for _ in range(20):
         loss_fn, tensors = _random_instance(op_name, rng)
         check_gradients(loss_fn, tensors, rng, n_entries=4)

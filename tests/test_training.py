@@ -206,7 +206,7 @@ def test_model_objective_gradient_matches_finite_difference(monkeypatch, backbon
         for pos in {int(np.abs(g).argmax()), int(rng.integers(g.size))}:
             r, c = divmod(pos, g.shape[1])
             assert grad_close(g[r, c], finite_difference(objective, t, r, c)), (name, r, c)
-    trains_teachers = wiring.rank_teachers or wiring.regression_teachers
+    trains_teachers = wiring.teachers != "off"
     assert any(grads[name].any() for name, _ in named if name.startswith("tower.a_plus.")) == trains_teachers
 
 
@@ -275,13 +275,14 @@ def test_crossdistil_gated_step_records_one_op_per_layer(datasets, monkeypatch):
     dense layer it runs: the 2 shared experts, a private expert and a gate per
     task it feeds, and a tower per head. That is 10 for the records, 8 for each
     of the 4 quadruplet subsets and for the calibration forward, and 5 for each
-    of the 4 pair unions. The losses and the Platt map make up the rest."""
+    of the 4 pair unions. The Platt map adds one ``linear`` per task, and the
+    losses make up the rest."""
     ops, forwards = _step_ops(monkeypatch, datasets[0], "gated_experts", "crossdistil")
     assert forwards == 10
     assert ops == {
-        "gather_cols": 10, "linear": 70, "row_softmax": 16, "row_mix": 16, "add": 24, "mul": 8, "neg": 20,
-        "softplus": 14, "scalar_scale": 14, "reduce_mean": 12, "exp": 2, "matmul": 2}
-    assert sum(ops.values()) == 208
+        "gather_cols": 10, "linear": 72, "row_softmax": 16, "row_mix": 16, "add": 22, "mul": 8, "neg": 20,
+        "softplus": 14, "scalar_scale": 14, "reduce_mean": 12, "exp": 2}
+    assert sum(ops.values()) == 206
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)
@@ -292,7 +293,7 @@ def test_every_recorded_op_is_in_the_op_table(datasets, monkeypatch, backbone, v
 
 
 def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch):
-    """Per task, the tape holds the Platt map (exp, matmul, neg, add) and the
+    """Per task, the tape holds the Platt map (exp, neg, linear) and the
     cross-entropy on its logit (softplus, mul, neg, add, reduce_mean); one add
     joins the tasks. No sigmoid is made, and backward reaches every node."""
     train_ds = datasets[0]
@@ -313,7 +314,7 @@ def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch
     T.calibration_step(state, train_ds, batch)
     assert "sigmoid" not in made
     assert Counter(t.op for t in recorded) == {
-        "exp": 2, "matmul": 2, "neg": 4, "add": 5, "softplus": 2, "mul": 2, "reduce_mean": 2}
+        "exp": 2, "linear": 2, "neg": 4, "add": 3, "softplus": 2, "mul": 2, "reduce_mean": 2}
     reached, stack = set(), [recorded[-1]]  # the last node made is the loss
     while stack:
         node = stack.pop()

@@ -115,12 +115,12 @@ def _values_of(x) -> np.ndarray:
 def ce_from_logits(labels, logits: Tensor) -> Tensor:
     """Mean binary cross-entropy against 0/1 labels, in log-sigmoid form.
 
-    Computed as mean(softplus(r) - y*r), which never evaluates log near 0.
+    Computed as mean(softplus(r) + (-y)*r), which never evaluates log near 0.
     """
-    y = Tensor(_as_column(labels))
-    if y.shape != logits.shape:
-        raise ConfigError(f"ce_from_logits: {y.shape[0]} labels vs logits of shape {logits.shape}")
-    return ng.reduce_mean(ng.add(ng.softplus(logits), ng.neg(ng.mul(y, logits))))
+    neg_y = Tensor(-_as_column(labels))
+    if neg_y.shape != logits.shape:
+        raise ConfigError(f"ce_from_logits: {neg_y.shape[0]} labels vs logits of shape {logits.shape}")
+    return ng.reduce_mean(ng.add(ng.softplus(logits), ng.mul(neg_y, logits)))
 
 
 def soft_ce_from_logits(target_probs, logits: Tensor) -> Tensor:
@@ -134,8 +134,8 @@ def soft_ce_from_logits(target_probs, logits: Tensor) -> Tensor:
 
 
 def bpr_loss(pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
-    """Mean pairwise ranking loss -ln sigmoid(pos - neg)."""
-    return ng.reduce_mean(ng.softplus(ng.neg(ng.add(pos_logits, ng.neg(neg_logits)))))
+    """Mean pairwise ranking loss -ln sigmoid(pos - neg); the ``add`` operand order fixes the grad bits."""
+    return ng.reduce_mean(ng.softplus(ng.add(ng.neg(pos_logits), neg_logits)))
 
 
 def quadruplet_loss(
@@ -172,18 +172,14 @@ def calibrate(raw_logits: Tensor, params: CalibrationParams, task: str) -> Tenso
     return ng.linear(raw_logits, ng.exp(rho), ng.neg(q))
 
 
-def calibration_loss(y_a, y_b, r_a_plus, r_b_plus, params: CalibrationParams) -> Tensor:
+def calibration_loss(y_a, y_b, r_a_plus: Tensor, r_b_plus: Tensor, params: CalibrationParams) -> Tensor:
     """Cross-entropy of both calibrated teacher heads against the hard labels.
 
     Teacher logits are detached before calibration, so gradients reach only
     the Platt parameters.
     """
-    loss = None
-    for task, labels, logits in (("a", y_a, r_a_plus), ("b", y_b, r_b_plus)):
-        raw = logits.detach() if isinstance(logits, Tensor) else Tensor(_as_column(logits))
-        term = ce_from_logits(labels, calibrate(raw, params, task))
-        loss = term if loss is None else ng.add(loss, term)
-    return loss
+    return ng.add(ce_from_logits(y_a, calibrate(r_a_plus.detach(), params, "a")),
+                  ce_from_logits(y_b, calibrate(r_b_plus.detach(), params, "b")))
 
 
 def error_correct(logits, labels, margin: float) -> np.ndarray:

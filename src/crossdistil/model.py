@@ -73,15 +73,12 @@ def _mlp(rng, sizes: list[int], scale: float) -> list[tuple[Tensor, Tensor]]:
 class MultiTaskNet:
     """Holds all trainable tensors and runs the forward pass."""
 
-    def __init__(self, cfg: ModelConfig, vocab_sizes, field_names=None):
+    def __init__(self, cfg: ModelConfig, vocab_sizes, field_names):
         self.cfg = cfg
         self.vocab_sizes = tuple(int(v) for v in vocab_sizes)
-        if any(v < 1 for v in self.vocab_sizes):
-            raise ConfigError("vocabulary sizes must be at least 1")
-        self.field_names = (
-            tuple(field_names) if field_names is not None
-            else tuple(f"f{i}" for i in range(len(self.vocab_sizes)))
-        )
+        if not self.vocab_sizes or any(v < 1 for v in self.vocab_sizes):
+            raise ConfigError(f"need one or more fields of vocabulary size at least 1, got sizes {self.vocab_sizes}")
+        self.field_names = tuple(field_names)
         if len(self.field_names) != len(self.vocab_sizes):
             raise ConfigError("field_names and vocab_sizes disagree")
 

@@ -5,7 +5,11 @@ a new Tensor that doubles as the tape node: it keeps references to its input
 tensors and a closure that maps the output adjoint to input adjoints.
 ``backward(loss)`` walks the reachable graph once in reverse topological
 order and adds d(loss)/d(t) into ``t.grad`` for every tensor that requires
-gradients, so repeated calls accumulate.
+gradients, so repeated calls accumulate. That order is a depth-first walk of
+each op's parents in the order the op lists them, not the order the ops were
+made in, so an op's parent order sets the order in which a shared weight's
+gradients are summed, and their bits: ``losses.bpr_loss`` builds
+``add(neg(pos), neg)``, since ``add(neg, neg(pos))`` would sum them otherwise.
 
 Embedding tables stay row-sparse from ``row_gather`` or ``gather_cols`` to
 the update: their backward returns a ``RowGrad`` per table (the gathered
@@ -435,9 +439,7 @@ def backward(loss: Tensor) -> None:
     # a node's adjoint: one dense array, or its RowGrads in arrival order
     adjoint: dict[int, np.ndarray | list[RowGrad]] = {id(loss): np.ones((1, 1))}
     for node in reversed(topo):
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue
+        g = adjoint.pop(id(node))
         if isinstance(g, list):
             if node._bwd is None and sum(r.idx.size for r in g) < node.shape[0]:
                 _add_rows(node, g)
@@ -448,7 +450,7 @@ def backward(loss: Tensor) -> None:
         if node._bwd is None:
             continue
         for parent, contrib in zip(node._parents, node._bwd(g)):
-            if contrib is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             pid = id(parent)
             prev = adjoint.get(pid)

@@ -20,14 +20,14 @@ ablation table; ``VARIANTS`` names them in that order:
 Each step samples a batch dict of row indices (``sample_step_batch``):
 ``records``, then the four ``data.QUADS`` subsets when a quadruplet loss
 is on, then ``data.PAIRS["a"] + data.PAIRS["b"]`` for the ranking
-teachers. Every key is forwarded through the net, whose ``forward`` returns
-a dict of logits for the heads it is asked for: for ``records`` the two
-students, plus the ``TEACHERS`` when the variant trains or distils from them
-on the records, the two ``TEACHERS`` for each quadruplet subset and the one
-teacher a union is ranked by for each pair. Sampling uses three independent
-RNG streams (records, quadruplets, pairs) spawned from the seed, so
-variants that skip a sampler still see the same record batches step for
-step.
+teachers. ``model_loss_step`` forwards every key in that order from one
+place, for these heads: for ``records`` the two students, plus the
+``TEACHERS`` when the variant trains or distils from them on the records;
+for the rest ``FORWARDED_HEADS``, the two ``TEACHERS`` for each quadruplet
+subset and the one teacher a union is ranked by for each pair. Sampling uses
+three independent RNG streams (records, quadruplets, pairs) spawned from the
+seed, so variants that skip a sampler still see the same record batches
+step for step.
 
 A checkpoint is one uncompressed ``.npz``: every float64 array of the state
 under its own name, plus a JSON ``header`` member with everything else (see
@@ -37,6 +37,7 @@ the format.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import logging
@@ -103,12 +104,9 @@ class TrainConfig:
         require_positive(self, ("gamma1", "gamma2"))
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.steps < 1:
-            raise ConfigError("steps must be at least 1")
-        if self.eval_interval < 1:
-            raise ConfigError("eval_interval must be at least 1")
+        for name in ("batch_size", "steps", "eval_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.variant not in _WIRING:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "no_auxiliary_rank":
@@ -136,12 +134,11 @@ class Sgd:
 
     def step(self):
         for _, p in self.named_params:
+            rows = slice(None) if self.weight_decay or p.grad_rows is None else p.grad_rows
+            g = p.grad[rows]
             if self.weight_decay:
-                p.values -= self.lr * (p.grad + self.weight_decay * p.values)
-            elif p.grad_rows is None:
-                p.values -= self.lr * p.grad
-            else:
-                p.values[p.grad_rows] -= self.lr * p.grad[p.grad_rows]
+                g = g + self.weight_decay * p.values
+            p.values[rows] -= self.lr * g
 
 
 class Adam:
@@ -174,17 +171,12 @@ class Adam:
             v = self.v[name]
             m *= self.beta1
             v *= self.beta2
-            rows = None if self.weight_decay else p.grad_rows
-            if rows is None:
-                g = p.grad
-                if self.weight_decay:
-                    g = g + self.weight_decay * p.values
-                m += (1.0 - self.beta1) * g
-                v += (1.0 - self.beta2) * g * g
-            else:
-                g = p.grad[rows]
-                m[rows] += (1.0 - self.beta1) * g
-                v[rows] += (1.0 - self.beta2) * g * g
+            rows = slice(None) if self.weight_decay or p.grad_rows is None else p.grad_rows
+            g = p.grad[rows]
+            if self.weight_decay:
+                g = g + self.weight_decay * p.values
+            m[rows] += (1.0 - self.beta1) * g
+            v[rows] += (1.0 - self.beta2) * g * g
             # lr * (m / c1) / (sqrt(v / c2) + eps) in place, in that expression's order, for its bits
             step = m / c1
             step *= self.lr
@@ -235,6 +227,11 @@ def _build_state(model_cfg: ModelConfig, vocab_sizes, field_names, cfg: TrainCon
     )
 
 
+# the heads forwarded for each sampled row set; those of "records" depend on the wiring
+FORWARDED_HEADS = {**dict.fromkeys(QUADS, TEACHERS),
+                   **{name: (f"{task}_plus",) for task in TASKS for name in PAIRS[task]}}
+
+
 def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
                       cfg: TrainConfig, wiring: VariantWiring) -> dict[str, np.ndarray]:
     """Everything one iteration samples before touching the model, by row-set name."""
@@ -269,25 +266,21 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
     records = batch["records"]
     labels = {"a": ds.y_a[records], "b": ds.y_b[records]}
     reads_teachers = wiring.teachers == "ce" or wiring.distill == "teacher"
-    heads = state.net.forward(ds.field_ids[records], HEADS if reads_teachers else TASKS)
+    heads_of = {**FORWARDED_HEADS, "records": HEADS if reads_teachers else TASKS}
+    logits = {name: state.net.forward(ds.field_ids[rows], heads_of[name]) for name, rows in batch.items()}
+    heads = logits["records"]
 
-    teacher_losses: dict[str, Tensor] = {}
-    if wiring.teachers == "rank":
-        quad_heads = [state.net.forward(ds.field_ids[batch[name]], TEACHERS) for name in QUADS if name in batch]
+    if wiring.teachers != "off":
         for task in TASKS:
             teacher = f"{task}_plus"
-            pos, neg = (state.net.forward(ds.field_ids[batch[name]], (teacher,))[teacher] for name in PAIRS[task])
-            if quad_heads:
-                loss = L.quadruplet_loss(task, *(q[teacher] for q in quad_heads), pos, neg, *h.beta(task))
+            if wiring.teachers == "ce":
+                loss = L.ce_from_logits(labels[task], heads[teacher])
+            elif QUADS[0] in batch:
+                loss = L.quadruplet_loss(task, *(logits[n][teacher] for n in QUADS + PAIRS[task]), *h.beta(task))
             else:
-                loss = L.bpr_loss(pos, neg)
-            teacher_losses[task] = loss
-    elif wiring.teachers == "ce":
-        for task in TASKS:
-            teacher_losses[task] = L.ce_from_logits(labels[task], heads[f"{task}_plus"])
-    for task, loss in teacher_losses.items():
-        components[f"teacher_{task}"] = loss.item()
-        terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
+                loss = L.bpr_loss(*(logits[name][teacher] for name in PAIRS[task]))
+            components[f"teacher_{task}"] = loss.item()
+            terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
 
     for task in TASKS:
         alpha = h.alpha(task) if wiring.distill != "off" else 0.0
@@ -300,14 +293,10 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
         components[f"student_{task}"] = loss.item()
         terms.append((h.weight_a if task == "a" else h.weight_b, loss))
 
-    total = None
-    for weight, term in terms:
-        if weight == 0:
-            continue
-        scaled = ng.scalar_scale(term, weight)
-        total = scaled if total is None else ng.add(total, scaled)
-    if total is None:
+    scaled = [ng.scalar_scale(term, weight) for weight, term in terms if weight != 0]
+    if not scaled:
         raise ConfigError("all loss weights are zero; nothing to train")
+    total = functools.reduce(ng.add, scaled)
     components["model"] = total.item()
 
     state.net.zero_grad()
@@ -333,14 +322,14 @@ def calibration_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray
 
 
 def train_step(state: TrainState, ds: Dataset, part: LabelPartition,
-               cfg: TrainConfig, wiring: VariantWiring | None = None) -> dict[str, float]:
+               cfg: TrainConfig, wiring: VariantWiring) -> dict[str, float]:
     """One full iteration: sample, model step, then calibration step."""
-    wiring = wiring or apply_variant(cfg.variant)
     batch = sample_step_batch(state, part, len(ds), cfg, wiring)
     try:
-        components = model_loss_step(state, ds, batch, cfg, wiring)
-        if wiring.calibrated:
-            components["calibration"] = calibration_step(state, ds, batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # _make names the op of any non-finite output
+            components = model_loss_step(state, ds, batch, cfg, wiring)
+            if wiring.calibrated:
+                components["calibration"] = calibration_step(state, ds, batch)
     except NumericError as e:
         raise TrainingAborted(f"step {state.step + 1}: {e}") from e
     state.step += 1
@@ -436,9 +425,9 @@ RNG_STREAMS = ("records", "quads", "pairs")
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    hyper = HyperParams(**d.pop("hyper", {}))
-    return TrainConfig(hyper=hyper, **d)
+    if not isinstance(d, dict):
+        raise ConfigError(f"config train must be a JSON object, got {d!r}")
+    return TrainConfig(**{**d, "hyper": HyperParams(**d.get("hyper", {}))})
 
 
 def _adams(state: TrainState) -> dict[str, Adam]:
@@ -489,6 +478,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as saved:
             header = json.load(io.StringIO(str(saved[HEADER])))
+            if not isinstance(header, dict):
+                raise ValueError(f"the header {json.dumps(header)[:40]} is not a JSON object")
             if header.get("version") != CHECKPOINT_VERSION:
                 raise ConfigError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
             cfg = config_from_dict(header["train_config"])
@@ -505,10 +496,13 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
                     raise ConfigError(f"{path}: array {name} has dtype {src.dtype}, the model needs float64")
                 dst[...] = src
             for part, opt in _adams(state).items():
-                opt.t = int(header["adam_t"][part])
+                opt.t = header["adam_t"][part]
             for key in RNG_STREAMS:
                 getattr(state, f"rng_{key}").bit_generator.state = header["rng"][key]
-            state.step = int(header["step"])
+            state.step = header["step"]
+            counts = {"step": state.step, **{f"adam_t.{part}": opt.t for part, opt in _adams(state).items()}}
+            if bad := {name: n for name, n in counts.items() if type(n) is not int or n < 0}:  # type() rejects a bool
+                raise ValueError(f"step counts must be nonnegative integers, got {bad}")
     except (OSError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
         raise ConfigError(f"cannot read {path} as a version-{CHECKPOINT_VERSION} checkpoint: {e}") from None
     return state, cfg

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -81,7 +82,10 @@ def test_recorded_config_is_the_trained_config(tmp_path, config):
 def test_resume_rejects_unreadable_checkpoints(tmp_path, config, capsys):
     v1 = tmp_path / "v1.ckpt"
     v1.write_text(json.dumps({"version": 1, "step": 4, "model": {}}), encoding="utf-8")
-    for ckpt in (tmp_path / "missing.ckpt", tmp_path / "cfg.json", v1):
+    listed = tmp_path / "list.ckpt"
+    with open(listed, "wb") as fh:
+        np.savez(fh, header=np.array("[]"))
+    for ckpt in (tmp_path / "missing.ckpt", tmp_path / "cfg.json", v1, listed):
         capsys.readouterr()
         assert main(["train", "--config", config, "--resume", str(ckpt)]) == 2, ckpt
         assert str(ckpt) in capsys.readouterr().err
@@ -289,6 +293,27 @@ def test_sweep_rejects_a_nan_grid_before_the_first_run(config, capsys, monkeypat
     assert main(["sweep", "--config", config, "--param", "beta1", "--grid", "nan"]) == 2
     assert runs == []
     assert_one_line_error(capsys, "beta1_a must be finite")
+
+
+@pytest.mark.parametrize("train", [[], [["steps", 3], ["eval_interval", 3]]])
+def test_train_section_that_is_not_an_object_exits_2_at_load(tmp_path, capsys, monkeypatch, train):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "train": train}), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", str(path)]) == 2
+    assert_one_line_error(capsys, "config train must be a JSON object")
+
+
+def test_diverging_run_exits_2_naming_the_step_and_op(tmp_path, capsys):
+    """The non-finite output is reported once, by op, with no numpy warning first."""
+    path = write_config(tmp_path / "cfg.json", gamma1=1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: step 1: non-finite output in op 'linear'"]
 
 
 def test_nan_hyperparameter_exits_2_at_load(tmp_path, capsys, monkeypatch):

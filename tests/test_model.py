@@ -1,5 +1,7 @@
 """Model construction, forward semantics and gradient isolation between heads."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,14 @@ class TestInit:
         # 3 fields of vocab 10 at d=4, one hidden layer of 8, linear towers:
         # embeddings 3*10*4, trunk 12*8+8, towers 4*(8*1+1)
         cfg = ModelConfig(embedding_dim=4, hidden_sizes=(8,), tower_hidden=(), seed=0)
-        net = MultiTaskNet(cfg, vocab_sizes=(10, 10, 10))
+        net = MultiTaskNet(cfg, vocab_sizes=(10, 10, 10), field_names=("u", "i", "c"))
         expected = 3 * 10 * 4 + (12 * 8 + 8) + 4 * (8 * 1 + 1)
         assert net.n_parameters() == expected
 
     def test_parameter_census_gated(self):
         cfg = ModelConfig(embedding_dim=4, backbone="gated_experts", hidden_sizes=(8,),
                           tower_hidden=(), n_experts=2, seed=0)
-        net = MultiTaskNet(cfg, vocab_sizes=(10, 10, 10))
+        net = MultiTaskNet(cfg, vocab_sizes=(10, 10, 10), field_names=("u", "i", "c"))
         embeddings = 3 * 10 * 4
         experts = 4 * (12 * 8 + 8)  # 2 shared + 1 private per task
         gates = 2 * (12 * 3 + 3)  # per task, over 2 shared + 1 private
@@ -44,7 +46,7 @@ class TestInit:
 
     def test_init_scale_bounds(self):
         cfg = ModelConfig(embedding_dim=4, hidden_sizes=(8,), init_scale=0.5, seed=1)
-        net = MultiTaskNet(cfg, vocab_sizes=(20, 20))
+        net = MultiTaskNet(cfg, vocab_sizes=(20, 20), field_names=("u", "i"))
         w = dict(net.named_parameters())["trunk.0.w"]
         assert np.abs(w.values).max() <= 0.5 / np.sqrt(8)
 
@@ -53,6 +55,8 @@ class TestInit:
             ModelConfig(backbone="transformer")
         with pytest.raises(ConfigError):
             ModelConfig(hidden_sizes=())
+        with pytest.raises(ConfigError, match=re.escape("need one or more fields of vocabulary size at least 1, got sizes ()")):
+            MultiTaskNet(ModelConfig(), vocab_sizes=(), field_names=())
 
 
 class TestForward:

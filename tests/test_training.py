@@ -17,7 +17,7 @@ from crossdistil import training as T
 from crossdistil.data import PAIRS, QUADS, Dataset, SynthConfig, generate_synthetic, partition, split_dataset
 from crossdistil.errors import ConfigError
 from crossdistil.losses import CalibrationParams, HyperParams
-from crossdistil.model import BACKBONES, HEADS, ModelConfig, MultiTaskNet
+from crossdistil.model import BACKBONES, HEADS, TEACHERS, ModelConfig, MultiTaskNet
 from crossdistil.numgrad import Tensor
 
 MODEL = {"embedding_dim": 4, "hidden_sizes": (6,), "seed": 7}
@@ -79,13 +79,18 @@ DAMAGE = {  # how a checkpoint member is damaged -> (the member, what the error 
 }
 
 
-@pytest.mark.parametrize("damage", DAMAGE)
-def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage):
+def saved_members(datasets, path) -> dict[str, np.ndarray]:
+    """Train one Adam step, checkpoint it to ``path`` and return the npz members."""
     cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=1, seed=8)
-    path = tmp_path / "run.ckpt"
     T.save_checkpoint(path, T.train(*datasets, ModelConfig(**MODEL), cfg)[0], cfg)
     with np.load(path) as z:
-        arrays = dict(z)
+        return dict(z)
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage):
+    path = tmp_path / "run.ckpt"
+    arrays = saved_members(datasets, path)
     member, says = DAMAGE[damage]
     if damage == "drop":
         del arrays[member]
@@ -96,6 +101,32 @@ def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ConfigError, match=re.escape(member)) as exc:
+        T.load_checkpoint(path)
+    assert says in str(exc.value)
+
+
+@pytest.mark.parametrize("header, says", [
+    ("[]", "header [] is not a JSON object"),
+    ("3", "header 3 is not a JSON object"),
+    ('"x"', 'header "x" is not a JSON object'),
+    ("null", "header null is not a JSON object"),
+    ({"step": -5}, "must be nonnegative integers, got {'step': -5}"),
+    ({"step": 2.7}, "must be nonnegative integers, got {'step': 2.7}"),
+    ({"step": True}, "must be nonnegative integers, got {'step': True}"),
+    ({"adam_t": {"opt_model": 1, "opt_calibration": -1}}, "got {'adam_t.opt_calibration': -1}"),
+    ({"adam_t": {"opt_model": 1.0, "opt_calibration": 1}}, "got {'adam_t.opt_model': 1.0}"),
+])
+def test_checkpoint_with_a_damaged_header_is_rejected(datasets, tmp_path, header, says):
+    """A header that is not an object, or a step count that ``int()`` would
+    take but that is no count, fails the load instead of loading wrongly."""
+    path = tmp_path / "run.ckpt"
+    members = saved_members(datasets, path)
+    if isinstance(header, dict):
+        header = json.dumps({**json.loads(str(members[T.HEADER])), **header})
+    members[T.HEADER] = np.array(header)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    with pytest.raises(ConfigError, match="as a version-2 checkpoint") as exc:
         T.load_checkpoint(path)
     assert says in str(exc.value)
 
@@ -241,7 +272,7 @@ def test_records_forward_builds_only_the_heads_the_variant_reads(datasets, monke
                 m.setattr(MultiTaskNet, "forward", lambda net, ids, heads=HEADS: forward(net, ids))
             ops = _count_calls(m, ng, "_make")
             forwards = _count_calls(m, MultiTaskNet, "forward")
-            components = T.train_step(state, train_ds, part, cfg)
+            components = T.train_step(state, train_ds, part, cfg, T.apply_variant(variant))
         return len(ops), len(forwards), components
 
     ops, forwards, components = one_step("backbone")
@@ -250,6 +281,33 @@ def test_records_forward_builds_only_the_heads_the_variant_reads(datasets, monke
     assert all_ops - ops == 2
     assert components == all_components
     assert one_step("crossdistil")[1] == 10
+
+
+def test_crossdistil_step_forwards_each_row_set_once_in_batch_order(datasets, monkeypatch):
+    """The model step forwards the records for all heads, each quadruplet
+    subset for both teachers and each pair union for its task's teacher, in
+    the batch's order; the calibration step then forwards the records for
+    the teachers."""
+    train_ds = datasets[0]
+    part = partition(train_ds)
+    cfg = T.TrainConfig(batch_size=8, seed=3)
+    wiring = T.apply_variant(cfg.variant)
+    model_cfg = ModelConfig(backbone="gated_experts", **MODEL)
+    batch = T.sample_step_batch(T.init_state(model_cfg, train_ds, cfg), part, len(train_ds), cfg, wiring)
+    state = T.init_state(model_cfg, train_ds, cfg)
+    asked = []
+    forward = MultiTaskNet.forward
+
+    def recording(net, ids, heads=HEADS):
+        asked.append((ids.tobytes(), tuple(heads)))
+        return forward(net, ids, heads)
+
+    monkeypatch.setattr(MultiTaskNet, "forward", recording)
+    T.train_step(state, train_ds, part, cfg, wiring)
+    assert list(batch) == ["records", *QUADS, *PAIRS["a"], *PAIRS["b"]]
+    heads = [HEADS, *[TEACHERS] * 4, *[("a_plus",)] * 2, *[("b_plus",)] * 2, TEACHERS]
+    names = [*batch, "records"]
+    assert asked == [(train_ds.field_ids[batch[n]].tobytes(), h) for n, h in zip(names, heads)]
 
 
 def _step_ops(monkeypatch, train_ds, backbone, variant) -> tuple[Counter, int]:
@@ -266,7 +324,7 @@ def _step_ops(monkeypatch, train_ds, backbone, variant) -> tuple[Counter, int]:
     with monkeypatch.context() as m:
         m.setattr(ng, "_make", recording)
         forwards = _count_calls(m, MultiTaskNet, "forward")
-        T.train_step(state, train_ds, partition(train_ds), cfg)
+        T.train_step(state, train_ds, partition(train_ds), cfg, T.apply_variant(variant))
     return Counter(made), len(forwards)
 
 
@@ -280,9 +338,9 @@ def test_crossdistil_gated_step_records_one_op_per_layer(datasets, monkeypatch):
     ops, forwards = _step_ops(monkeypatch, datasets[0], "gated_experts", "crossdistil")
     assert forwards == 10
     assert ops == {
-        "gather_cols": 10, "linear": 72, "row_softmax": 16, "row_mix": 16, "add": 22, "mul": 8, "neg": 20,
+        "gather_cols": 10, "linear": 72, "row_softmax": 16, "row_mix": 16, "add": 22, "mul": 8, "neg": 10,
         "softplus": 14, "scalar_scale": 14, "reduce_mean": 12, "exp": 2}
-    assert sum(ops.values()) == 206
+    assert sum(ops.values()) == 196
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)
@@ -294,7 +352,7 @@ def test_every_recorded_op_is_in_the_op_table(datasets, monkeypatch, backbone, v
 
 def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch):
     """Per task, the tape holds the Platt map (exp, neg, linear) and the
-    cross-entropy on its logit (softplus, mul, neg, add, reduce_mean); one add
+    cross-entropy on its logit (softplus, mul, add, reduce_mean); one add
     joins the tasks. No sigmoid is made, and backward reaches every node."""
     train_ds = datasets[0]
     cfg = T.TrainConfig(batch_size=8, seed=3)
@@ -314,7 +372,7 @@ def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch
     T.calibration_step(state, train_ds, batch)
     assert "sigmoid" not in made
     assert Counter(t.op for t in recorded) == {
-        "exp": 2, "linear": 2, "neg": 4, "add": 3, "softplus": 2, "mul": 2, "reduce_mean": 2}
+        "exp": 2, "linear": 2, "neg": 2, "add": 3, "softplus": 2, "mul": 2, "reduce_mean": 2}
     reached, stack = set(), [recorded[-1]]  # the last node made is the loss
     while stack:
         node = stack.pop()

@@ -180,9 +180,6 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
         task, ratio = corrupt
         train_ds = corrupt_labels(train_ds, task, ratio, np.random.default_rng(derived["data"] + 1))
 
-    if variant not in (None, run.train.variant) and run.train.variant == "no_auxiliary_rank":
-        raise ConfigError("config train.variant no_auxiliary_rank zeroes the ranking betas, so no other "
-                          "variant can run from this config; pass --variant no_auxiliary_rank instead")
     model_cfg = replace(run.model, seed=derived["model"])
     cfg = replace(run.train, seed=derived["train"], variant=variant or run.train.variant)
 

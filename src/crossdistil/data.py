@@ -148,6 +148,8 @@ def load_csv(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
+        if repeated := sorted({name for name in header if header.count(name) > 1}):
+            raise DataError(f"{path}: repeated column names {repeated}")
         feature_cols: list[tuple[int, str]] = []
         label_a_col = label_b_col = split_col = None
         for i, name in enumerate(header):

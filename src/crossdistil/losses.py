@@ -68,26 +68,19 @@ class CalibrationParams:
     """Per-task Platt parameters (rho, q) with slope exp(rho), all trainable."""
 
     def __init__(self, rho_a=0.0, q_a=0.0, rho_b=0.0, q_b=0.0):
-        self.rho_a = Tensor.scalar(rho_a, requires_grad=True)
-        self.q_a = Tensor.scalar(q_a, requires_grad=True)
-        self.rho_b = Tensor.scalar(rho_b, requires_grad=True)
-        self.q_b = Tensor.scalar(q_b, requires_grad=True)
+        self.params = {f"cal.{name}": Tensor.scalar(value, requires_grad=True)
+                       for name, value in (("rho_a", rho_a), ("q_a", q_a), ("rho_b", rho_b), ("q_b", q_b))}
 
     def pair(self, task: str) -> tuple[Tensor, Tensor]:
-        if task == "a":
-            return self.rho_a, self.q_a
-        if task == "b":
-            return self.rho_b, self.q_b
-        raise ConfigError(f"unknown task {task!r}")
+        if task not in ("a", "b"):
+            raise ConfigError(f"unknown task {task!r}")
+        return self.params[f"cal.rho_{task}"], self.params[f"cal.q_{task}"]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("cal.rho_a", self.rho_a), ("cal.q_a", self.q_a),
-            ("cal.rho_b", self.rho_b), ("cal.q_b", self.q_b),
-        ]
+        return list(self.params.items())
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.params.values())
 
     def zero_grad(self):
         for t in self.parameters():

@@ -81,6 +81,8 @@ class MultiTaskNet:
         self.field_names = tuple(field_names)
         if len(self.field_names) != len(self.vocab_sizes):
             raise ConfigError("field_names and vocab_sizes disagree")
+        if len(set(self.field_names)) != len(self.field_names):  # they name the embedding tables
+            raise ConfigError(f"field names must be distinct, got {self.field_names}")
 
         rng = np.random.default_rng(cfg.seed)
         d = cfg.embedding_dim

@@ -405,14 +405,12 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be 1x1. Tensors not on a path to the loss keep their grads
     untouched; calling twice adds the gradients twice.
 
-    A leaf whose every contribution is a ``RowGrad``, with fewer indices in
-    total than the table has rows, takes the row-sparse path: each
-    contribution is summed from zero in index order on a compact buffer over
-    the union of their rows, the sums are added in arrival order, and the
-    total goes into ``grad[rows]``, which ``grad_rows`` then records. Those are
-    the additions the dense path makes on those rows, so the bits agree.
-    Anything else is made dense first: a non-leaf, a mix with a dense
-    contribution, or a table small for its index count.
+    A node's adjoint is the list of its contributions, in arrival order. A
+    leaf whose every contribution is a ``RowGrad``, with fewer indices in
+    total than the table has rows, takes the row-sparse path (``_add_rows``).
+    Any other node folds its list from the left into one dense array, each
+    ``RowGrad`` scatter-added from zero first. The sparse path runs that fold
+    on the rows the indices reach, so the bits agree.
     """
     if loss.shape != (1, 1):
         raise UsageError(f"backward needs a 1x1 scalar loss; got shape {loss.shape}")
@@ -436,59 +434,46 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    # a node's adjoint: one dense array, or its RowGrads in arrival order
-    adjoint: dict[int, np.ndarray | list[RowGrad]] = {id(loss): np.ones((1, 1))}
+    adjoint: dict[int, list] = {id(loss): [np.ones((1, 1))]}
     for node in reversed(topo):
-        g = adjoint.pop(id(node))
-        if isinstance(g, list):
-            if node._bwd is None and sum(r.idx.size for r in g) < node.shape[0]:
-                _add_rows(node, g)
-                continue
-            g = _dense(g, node.shape)
+        parts = adjoint.pop(id(node))
+        if (node._bwd is None and all(isinstance(r, RowGrad) for r in parts)
+                and sum(r.idx.size for r in parts) < node.shape[0]):
+            _add_rows(node, parts)
+            continue
+        g = _fold(parts, node.shape)
         node.grad += g
         node.grad_rows = None
-        if node._bwd is None:
-            continue
-        for parent, contrib in zip(node._parents, node._bwd(g)):
-            if not parent.requires_grad:
-                continue
-            pid = id(parent)
-            prev = adjoint.get(pid)
-            if prev is None:
-                adjoint[pid] = [contrib] if isinstance(contrib, RowGrad) else contrib
-            elif isinstance(prev, list) and isinstance(contrib, RowGrad):
-                prev.append(contrib)
-            else:
-                # never mutate in place: contributions may alias each other
-                adjoint[pid] = _dense(prev, parent.shape) + _dense(contrib, parent.shape)
+        if node._bwd is not None:
+            for parent, contrib in zip(node._parents, node._bwd(g)):
+                if parent.requires_grad:
+                    adjoint.setdefault(id(parent), []).append(contrib)
 
 
-def _scatter_sum(parts: list[RowGrad], positions, shape) -> np.ndarray:
-    """Scatter-add each RowGrad from zero, in index order, into a ``shape``
-    buffer at its ``positions``, then sum the buffers in arrival order."""
-    total = None
-    for r, pos in zip(parts, positions):
-        part = np.zeros(shape)
-        np.add.at(part, pos, r.rows)
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total
+def _fold(parts: list, shape) -> np.ndarray:
+    """Contributions summed from the left as ``shape`` arrays, never in place,
+    since contributions may alias each other."""
+    g = _dense(parts[0], shape)
+    for part in parts[1:]:
+        g = g + _dense(part, shape)
+    return g
 
 
-def _dense(g, shape) -> np.ndarray:
-    """An adjoint as one table-sized array."""
-    if isinstance(g, np.ndarray):
-        return g
-    parts = g if isinstance(g, list) else [g]
-    return _scatter_sum(parts, [r.idx for r in parts], shape)
+def _dense(part, shape) -> np.ndarray:
+    """One contribution as a ``shape`` array: a ``RowGrad`` is scatter-added
+    from zero in index order."""
+    if not isinstance(part, RowGrad):
+        return part
+    dense = np.zeros(shape)
+    np.add.at(dense, part.idx, part.rows)
+    return dense
 
 
 def _add_rows(leaf: Tensor, parts: list[RowGrad]) -> None:
-    """``_dense`` restricted to the rows the parts reach, added into ``leaf.grad``."""
+    """``_fold`` of ``parts`` on a buffer over only the rows they reach, added
+    into ``leaf.grad``, whose ``grad_rows`` then records those rows."""
     rows, inv = np.unique(np.concatenate([r.idx for r in parts]), return_inverse=True)
     positions = np.split(inv, np.cumsum([r.idx.size for r in parts[:-1]]))
-    leaf.grad[rows] += _scatter_sum(parts, positions, (rows.size, leaf.shape[1]))
+    leaf.grad[rows] += _fold([RowGrad(pos, r.rows) for r, pos in zip(parts, positions)], (rows.size, leaf.shape[1]))
     if leaf.grad_rows is not None:
         leaf.grad_rows = rows if leaf.grad_rows.size == 0 else np.union1d(leaf.grad_rows, rows)

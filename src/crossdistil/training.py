@@ -7,7 +7,7 @@ The variants are the keys of ``_WIRING``, in the order of the paper's
 ablation table; ``VARIANTS`` names them in that order:
 
 - ``crossdistil``: the full method (ranking teachers, calibration, correction, KD).
-- ``no_auxiliary_rank``: w/o auxiliary ranking; crossdistil with zero betas.
+- ``no_auxiliary_rank``: w/o auxiliary ranking; crossdistil with pairwise teachers.
 - ``no_calibration``: w/o calibration; KD from the raw teacher logits.
 - ``no_correction``: w/o error correction of the KD targets.
 - ``kd_same_task``: vanilla KD from a same-task teacher trained with plain CE.
@@ -15,13 +15,18 @@ ablation table; ``VARIANTS`` names them in that order:
 - ``taug``: task augmentation; ranking teachers on the shared backbone, no KD.
 - ``backbone``: the two students alone.
 
-``TrainConfig`` zeroes ``beta1_*``/``beta2_*`` for ``no_auxiliary_rank``.
+The teacher heads train with one of four losses, by ``VariantWiring.teachers``:
+``"quad"`` the quadruplet ranking loss, ``"pair"`` its pairwise term alone
+(``bpr_loss`` over ``data.PAIRS[task]``), ``"ce"`` plain cross-entropy on
+the records, or ``"off"``. A variant that does not read a hyper-parameter
+keeps it as configured: ``no_auxiliary_rank`` records the betas it ignores,
+as ``taug`` records ``alpha``.
 
 Each step samples a batch dict of row indices (``sample_step_batch``):
-``records``, then the four ``data.QUADS`` subsets when a quadruplet loss
-is on, then ``data.PAIRS["a"] + data.PAIRS["b"]`` for the ranking
-teachers. ``model_loss_step`` forwards every key in that order from one
-place, for these heads: for ``records`` the two students, plus the
+``records``, then the four ``data.QUADS`` subsets for ``"quad"``, then
+``data.PAIRS["a"] + data.PAIRS["b"]`` for ``"quad"`` and ``"pair"``.
+``model_loss_step`` forwards every key in that order from one place, for
+these heads: for ``records`` the two students, plus the
 ``TEACHERS`` when the variant trains or distils from them on the records;
 for the rest ``FORWARDED_HEADS``, the two ``TEACHERS`` for each quadruplet
 subset and the one teacher a union is ranked by for each pair. Sampling uses
@@ -42,7 +47,7 @@ import io
 import json
 import logging
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,20 +67,20 @@ log = logging.getLogger(__name__)
 class VariantWiring:
     """Which loss paths a variant activates."""
 
-    teachers: str  # teacher heads train with "rank" (the quadruplet ranking loss), "ce" (plain CE), or "off"
+    teachers: str  # teacher heads train with "quad" (quadruplet ranking), "pair" (its pairwise term), "ce", or "off"
     distill: str  # each student distils from its "teacher", the other task's student ("cross_student"), or "off"
     calibrated: bool  # fit Platt parameters each iteration and calibrate the KD targets
     corrected: bool  # clamp distillation targets toward the hard labels
 
 
 _WIRING = {
-    "crossdistil": VariantWiring("rank", "teacher", True, True),
-    "no_auxiliary_rank": VariantWiring("rank", "teacher", True, True),
-    "no_calibration": VariantWiring("rank", "teacher", False, True),
-    "no_correction": VariantWiring("rank", "teacher", True, False),
+    "crossdistil": VariantWiring("quad", "teacher", True, True),
+    "no_auxiliary_rank": VariantWiring("pair", "teacher", True, True),
+    "no_calibration": VariantWiring("quad", "teacher", False, True),
+    "no_correction": VariantWiring("quad", "teacher", True, False),
     "kd_same_task": VariantWiring("ce", "teacher", False, False),
     "kd_cross_task_direct": VariantWiring("off", "cross_student", False, False),
-    "taug": VariantWiring("rank", "off", False, False),
+    "taug": VariantWiring("quad", "off", False, False),
     "backbone": VariantWiring("off", "off", False, False),
 }
 VARIANTS = tuple(_WIRING)
@@ -109,9 +114,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.variant not in _WIRING:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "no_auxiliary_rank":
-            object.__setattr__(self, "hyper", replace(
-                self.hyper, beta1_a=0.0, beta2_a=0.0, beta1_b=0.0, beta2_b=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,8 @@ class Adam:
     ``v`` get the dense step's bits; ``m`` gets its numbers, except that a
     moment decayed to -0.0 keeps its sign where adding a zero gradient would
     make it +0.0. Weight decay gives every row a gradient, so it stays dense.
+    A gradient whose square overflows raises ``NumericError``; only the
+    updated rows of ``v`` are checked.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -177,6 +181,8 @@ class Adam:
                 g = g + self.weight_decay * p.values
             m[rows] += (1.0 - self.beta1) * g
             v[rows] += (1.0 - self.beta2) * g * g
+            if not np.isfinite(v[rows]).all():  # an inf v would freeze the entry: its updates become m / inf = 0
+                raise NumericError(f"non-finite Adam second moment of parameter '{name}'")
             # lr * (m / c1) / (sqrt(v / c2) + eps) in place, in that expression's order, for its bits
             step = m / c1
             step *= self.lr
@@ -237,9 +243,9 @@ def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
     """Everything one iteration samples before touching the model, by row-set name."""
     b = cfg.batch_size
     batch = {"records": state.rng_records.integers(0, n_train, size=b)}
-    if wiring.teachers == "rank":
-        if any(v > 0 for task in TASKS for v in cfg.hyper.beta(task)):
-            batch.update(sample(part, QUADS, b, state.rng_quads))
+    if wiring.teachers == "quad":
+        batch.update(sample(part, QUADS, b, state.rng_quads))
+    if wiring.teachers in ("quad", "pair"):
         batch.update(sample(part, PAIRS["a"] + PAIRS["b"], b, state.rng_pairs))
     return batch
 
@@ -275,7 +281,7 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
             teacher = f"{task}_plus"
             if wiring.teachers == "ce":
                 loss = L.ce_from_logits(labels[task], heads[teacher])
-            elif QUADS[0] in batch:
+            elif wiring.teachers == "quad":
                 loss = L.quadruplet_loss(task, *(logits[n][teacher] for n in QUADS + PAIRS[task]), *h.beta(task))
             else:
                 loss = L.bpr_loss(*(logits[name][teacher] for name in PAIRS[task]))
@@ -481,19 +487,19 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
             if not isinstance(header, dict):
                 raise ValueError(f"the header {json.dumps(header)[:40]} is not a JSON object")
             if header.get("version") != CHECKPOINT_VERSION:
-                raise ConfigError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+                raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
             cfg = config_from_dict(header["train_config"])
             state = _build_state(ModelConfig(**header["model_config"]), header["vocab_sizes"],
                                  header["field_names"], cfg)
             arrays = _state_arrays(state)
             if diff := sorted(set(saved.files) ^ {HEADER, *arrays}):
-                raise ConfigError(f"{path}: checkpoint and model arrays differ in {diff[:3]}")
+                raise ConfigError(f"checkpoint and model arrays differ in {diff[:3]}")
             for name, dst in arrays.items():
                 src = saved[name]
                 if src.shape != dst.shape:
-                    raise ConfigError(f"{path}: array {name} has shape {src.shape}, the model needs {dst.shape}")
+                    raise ConfigError(f"array {name} has shape {src.shape}, the model needs {dst.shape}")
                 if src.dtype != np.float64:  # a cast would change the bits that resume must keep
-                    raise ConfigError(f"{path}: array {name} has dtype {src.dtype}, the model needs float64")
+                    raise ConfigError(f"array {name} has dtype {src.dtype}, the model needs float64")
                 dst[...] = src
             for part, opt in _adams(state).items():
                 opt.t = header["adam_t"][part]
@@ -503,6 +509,6 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
             counts = {"step": state.step, **{f"adam_t.{part}": opt.t for part, opt in _adams(state).items()}}
             if bad := {name: n for name, n in counts.items() if type(n) is not int or n < 0}:  # type() rejects a bool
                 raise ValueError(f"step counts must be nonnegative integers, got {bad}")
-    except (OSError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
+    except (ConfigError, OSError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
         raise ConfigError(f"cannot read {path} as a version-{CHECKPOINT_VERSION} checkpoint: {e}") from None
     return state, cfg

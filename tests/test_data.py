@@ -69,6 +69,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown column 'weight'"):
             load_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = self.write(tmp_path, "f_u,label_a,f_i,label_a,label_b\n0,1,0,0,1\n")
+        with pytest.raises(DataError, match=r"repeated column names \['label_a'\]"):
+            load_csv(path)
+
     def test_short_row_names_line(self, tmp_path):
         path = self.write(tmp_path, "f_u,label_a,label_b\n0,1\n")
         with pytest.raises(DataError, match="line 2"):

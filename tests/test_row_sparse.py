@@ -152,13 +152,17 @@ def test_gather_from_a_non_leaf_matches_dense():
     assert sparse[0][1].grad_rows is None
 
 
-def test_a_dense_contribution_makes_the_table_dense():
+@pytest.mark.parametrize("dense_first", [False, True], ids=["dense_last", "dense_first"])
+def test_a_dense_contribution_makes_the_table_dense(dense_first):
+    """The operand order of the final ``add`` sets whether the table's dense
+    contribution reaches it before or after its ``RowGrad``s."""
     sparse, dense = make_params(), make_params()
     gathers = step_gathers(np.random.default_rng(4))
     for params, gather in ((sparse, ng.row_gather), (dense, dense_row_gather)):
         table = params[0][1]
         table.zero_grad()
-        ng.backward(ng.add(gather_loss(params, gathers, gather), ng.reduce_mean(ng.mul(table, table))))
+        terms = [gather_loss(params, gathers, gather), ng.reduce_mean(ng.mul(table, table))]
+        ng.backward(ng.add(*terms[::-1] if dense_first else terms))
     assert_same_bytes(sparse, dense, "grad")
     assert sparse[0][1].grad_rows is None
 

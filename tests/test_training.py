@@ -6,7 +6,7 @@ Platt parameters)."""
 import json
 import re
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from conftest import finite_difference, grad_close, tiny_net
 from crossdistil import numgrad as ng
 from crossdistil import training as T
 from crossdistil.data import PAIRS, QUADS, Dataset, SynthConfig, generate_synthetic, partition, split_dataset
-from crossdistil.errors import ConfigError
+from crossdistil.errors import ConfigError, NumericError, TrainingAborted
 from crossdistil.losses import CalibrationParams, HyperParams
 from crossdistil.model import BACKBONES, HEADS, TEACHERS, ModelConfig, MultiTaskNet
 from crossdistil.numgrad import Tensor
@@ -382,11 +382,46 @@ def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch
     assert {id(t) for t in recorded} <= reached
 
 
-def test_no_auxiliary_rank_is_crossdistil_with_zero_betas():
-    cfg = T.TrainConfig(variant="no_auxiliary_rank")
-    assert cfg.hyper.beta("a") == cfg.hyper.beta("b") == (0.0, 0.0)
-    assert T.apply_variant("no_auxiliary_rank") == T.apply_variant("crossdistil")
-    assert T.config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+def test_no_auxiliary_rank_is_crossdistil_with_zero_betas(datasets):
+    """Zero betas scale both within-class terms of the quadruplet loss to exact
+    zeros, so crossdistil then trains its teachers on the pairwise term alone:
+    the history and final parameters of ``no_auxiliary_rank``, bit for bit,
+    whatever betas that variant is given."""
+    zero = HyperParams(beta1_a=0.0, beta2_a=0.0, beta1_b=0.0, beta2_b=0.0)
+    for backbone in BACKBONES:
+        for optimizer in ("sgd", "adam"):
+            (pair, pair_history), (quad, quad_history) = (
+                T.train(*datasets, ModelConfig(backbone=backbone, **MODEL),
+                        T.TrainConfig(gamma1=0.05, optimizer=optimizer, batch_size=16, steps=6, eval_interval=3,
+                                      seed=8, variant=variant, hyper=hyper))
+                for variant, hyper in (("no_auxiliary_rank", HyperParams()), ("crossdistil", zero)))
+            assert json.dumps(quad_history) == json.dumps(pair_history), (backbone, optimizer)
+            assert param_bytes(quad) == param_bytes(pair), (backbone, optimizer)
+
+
+def test_adam_rejects_a_gradient_whose_square_overflows():
+    """An infinite second moment would freeze the entry: every later update is m / inf = 0."""
+    p = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    p.grad[...] = [[1e160, 1.0]]
+    opt = T.Adam([("w", p)], 0.1)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="second moment of parameter 'w'"):
+        opt.step()
+
+
+def test_adam_overflow_aborts_training_naming_the_step(datasets):
+    train_ds = datasets[0]
+    cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=2, variant="backbone", seed=8,
+                        hyper=HyperParams(weight_a=1e160))  # a finite loss whose gradients square to inf
+    state = T.init_state(ModelConfig(**MODEL), train_ds, cfg)
+    with pytest.raises(TrainingAborted, match=r"^step 1: non-finite Adam second moment of parameter 'emb\."):
+        T.train_step(state, train_ds, partition(train_ds), cfg, T.apply_variant(cfg.variant))
+
+
+def test_repeated_field_names_are_rejected_at_init_state():
+    """Two tables under one name would share a checkpoint array and an Adam slot."""
+    ds = Dataset(("x", "x"), (9, 5), np.zeros((4, 2), dtype=np.int64), np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0]))
+    with pytest.raises(ConfigError, match="field names must be distinct"):
+        T.init_state(ModelConfig(**MODEL), ds, T.TrainConfig())
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)

@@ -108,27 +108,25 @@ def _values_of(x) -> np.ndarray:
 def ce_from_logits(labels, logits: Tensor) -> Tensor:
     """Mean binary cross-entropy against 0/1 labels, in log-sigmoid form.
 
-    Computed as mean(softplus(r) + (-y)*r), which never evaluates log near 0.
+    Computed as mean(softplus(r) + (-y)*r), which never evaluates log near 0,
+    in one ``ce_mean`` tape node. A label other than 0 or 1, NaN included,
+    raises ``ConfigError``.
     """
-    neg_y = Tensor(-_as_column(labels))
-    if neg_y.shape != logits.shape:
-        raise ConfigError(f"ce_from_logits: {neg_y.shape[0]} labels vs logits of shape {logits.shape}")
-    return ng.reduce_mean(ng.add(ng.softplus(logits), ng.mul(neg_y, logits)))
+    return ng.ce_mean(logits, _as_column(labels))
 
 
-def soft_ce_from_logits(target_probs, logits: Tensor) -> Tensor:
-    """Mean cross-entropy of sigmoid(logits) against fixed soft targets."""
-    p = _as_column(target_probs)
-    if (p < 0).any() or (p > 1).any():
-        raise ConfigError("soft targets must lie in [0, 1]")
-    pos = ng.mul(Tensor(p), ng.softplus(ng.neg(logits)))
-    negm = ng.mul(Tensor(1.0 - p), ng.softplus(logits))
-    return ng.reduce_mean(ng.add(pos, negm))
+def soft_ce_from_logits(target_probs, logits: Tensor, scale: float = 1.0) -> Tensor:
+    """Mean cross-entropy of sigmoid(scale * logits) against fixed soft targets.
+
+    One ``soft_ce_mean`` tape node; a target outside [0, 1], NaN included,
+    raises ``ConfigError``.
+    """
+    return ng.soft_ce_mean(logits, _as_column(target_probs), scale)
 
 
 def bpr_loss(pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
-    """Mean pairwise ranking loss -ln sigmoid(pos - neg); the ``add`` operand order fixes the grad bits."""
-    return ng.reduce_mean(ng.softplus(ng.add(ng.neg(pos_logits), neg_logits)))
+    """Mean pairwise ranking loss -ln sigmoid(pos - neg), one ``bpr_mean`` tape node."""
+    return ng.bpr_mean(pos_logits, neg_logits)
 
 
 def quadruplet_loss(
@@ -142,7 +140,8 @@ def quadruplet_loss(
     Task "a" enforces (1,1) > (1,0) within its positives and (0,1) > (0,0)
     within its negatives; task "b" mirrors with (1,1) > (0,1) and
     (1,0) > (0,0). The third term is the task's ordinary bipartite pair
-    drawn from the label unions. Each term is a batch mean.
+    drawn from the label unions. Each term is a batch mean, and the third
+    is added unscaled: loss = bpr(pos, neg) + beta1 * first + beta2 * second.
     """
     if task == "a":
         first, second = (r_pp, r_pn), (r_np, r_nn)
@@ -150,9 +149,7 @@ def quadruplet_loss(
         first, second = (r_pp, r_np), (r_pn, r_nn)
     else:
         raise ConfigError(f"quadruplet_loss: unknown task {task!r}")
-    loss = bpr_loss(r_pos, r_neg)
-    loss = ng.add(loss, ng.scalar_scale(bpr_loss(*first), beta1))
-    return ng.add(loss, ng.scalar_scale(bpr_loss(*second), beta2))
+    return ng.weighted_sum((bpr_loss(r_pos, r_neg), bpr_loss(*first), bpr_loss(*second)), (1.0, beta1, beta2))
 
 
 def calibrate(raw_logits: Tensor, params: CalibrationParams, task: str) -> Tensor:
@@ -199,11 +196,11 @@ def kd_loss(teacher_logits, student_logits: Tensor, temperature: float) -> Tenso
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = _as_column(_values_of(teacher_logits))
     targets = ng.sigmoid_values(t / temperature)
-    return soft_ce_from_logits(targets, ng.scalar_scale(student_logits, 1.0 / temperature))
+    return soft_ce_from_logits(targets, student_logits, 1.0 / temperature)
 
 
 def student_loss(labels, student_logits: Tensor, kd: Tensor | None, alpha: float) -> Tensor:
-    """Blend (1 - alpha) * CE(labels, sigmoid(r)) with alpha * kd."""
+    """Blend (1 - alpha) * CE(labels, sigmoid(r)) with alpha * kd, one ``weighted_sum`` node."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     ce = ce_from_logits(labels, student_logits)
@@ -211,4 +208,4 @@ def student_loss(labels, student_logits: Tensor, kd: Tensor | None, alpha: float
         return ce
     if kd is None:
         raise UsageError("student_loss: alpha > 0 requires a distillation term")
-    return ng.add(ng.scalar_scale(ce, 1.0 - alpha), ng.scalar_scale(kd, alpha))
+    return ng.weighted_sum((ce, kd), (1.0 - alpha, alpha))

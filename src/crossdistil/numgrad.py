@@ -8,8 +8,9 @@ order and adds d(loss)/d(t) into ``t.grad`` for every tensor that requires
 gradients, so repeated calls accumulate. That order is a depth-first walk of
 each op's parents in the order the op lists them, not the order the ops were
 made in, so an op's parent order sets the order in which a shared weight's
-gradients are summed, and their bits: ``losses.bpr_loss`` builds
-``add(neg(pos), neg)``, since ``add(neg, neg(pos))`` would sum them otherwise.
+gradients are summed, and their bits: ``bpr_mean`` lists its parents as
+(pos, neg), the order of its chain ``add(neg(pos), neg)``, since (neg, pos)
+would sum them otherwise.
 
 Embedding tables stay row-sparse from ``row_gather`` or ``gather_cols`` to
 the update: their backward returns a ``RowGrad`` per table (the gathered
@@ -22,12 +23,17 @@ Broadcasting is deliberately restricted: ``add`` accepts a 1 x n row vector
 as its second operand against an m x n matrix (bias addition) and nothing
 else, which keeps every backward rule a one-liner. All arithmetic is float64.
 
-Two fused ops record a whole layer as one tape node, since at small batch
-sizes the per-node bookkeeping costs more than the arithmetic: ``linear`` is
-``matmul`` -> ``add`` -> optional ``relu``, and ``gather_cols`` is one
-``row_gather`` per table joined by ``concat_cols``. Each performs the float
-operations of its chain in the same order, and the chain's intermediates had
-one consumer each, so gradients keep their bits. ``OPS`` names every op.
+Fused ops record a whole layer or loss term as one tape node, since at small
+batch sizes the per-node bookkeeping costs more than the arithmetic:
+``linear`` is ``matmul`` -> ``add`` -> optional ``relu``, ``gather_cols`` is
+one ``row_gather`` per table joined by ``concat_cols``, ``ce_mean``,
+``soft_ce_mean`` and ``bpr_mean`` are the cross-entropy, soft-target
+cross-entropy and pairwise ranking chains of ``losses``, and
+``weighted_sum`` is a left fold of ``scalar_scale`` and ``add``. Each
+performs the float operations of its chain in the same order, and returns
+per parent the fold of the adjoints the chain sent that parent, in the order
+``backward`` would have added them. The chain's intermediates had one
+consumer each, so gradients keep their bits. ``OPS`` names every op.
 
 A graph is single-threaded. The recording switch used by ``no_grad`` is
 thread-local, so independent graphs may run on different threads.
@@ -41,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, UsageError
+from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 _state = threading.local()
 
@@ -78,7 +84,7 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D matrices; got shape {arr.shape}")
         self.values = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if self.requires_grad else None
+        self.grad = np.zeros(arr.shape) if self.requires_grad else None
         self.grad_rows = None
         self.op = op
         self._parents = tuple(parents)
@@ -140,7 +146,7 @@ def _make(values: np.ndarray, op: str, parents: tuple, bwd) -> Tensor:
 OPS = (
     "matmul", "add", "mul", "neg", "sigmoid", "exp", "log", "softplus", "relu", "linear",
     "concat_cols", "row_mix", "row_gather", "gather_cols", "reduce_sum", "reduce_mean",
-    "row_softmax", "scalar_scale",
+    "row_softmax", "scalar_scale", "ce_mean", "soft_ce_mean", "bpr_mean", "weighted_sum",
 )
 
 
@@ -240,10 +246,14 @@ def log(a: Tensor) -> Tensor:
     return _make(out, "log", (a,), bwd)
 
 
+def _softplus_values(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(a: Tensor) -> Tensor:
     """ln(1 + e^x), computed as max(x, 0) + log1p(e^-|x|) to avoid overflow."""
     av = a.values
-    out = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
+    out = _softplus_values(av)
     sig = sigmoid_values(av)
 
     def bwd(g):
@@ -392,6 +402,96 @@ def scalar_scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _make(a.values * c, "scalar_scale", (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused loss terms
+# ---------------------------------------------------------------------------
+
+
+def _loss_constant(values, logits: Tensor, op: str) -> np.ndarray:
+    """The fixed operand of a loss op as a float64 array of the logits' shape."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != logits.shape:
+        raise ShapeError(f"{op}: constant of shape {arr.shape} vs logits of shape {logits.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"{op} of an empty tensor")
+    return arr
+
+
+def ce_mean(logits: Tensor, labels) -> Tensor:
+    """Mean binary cross-entropy of ``logits`` against 0/1 ``labels`` of the
+    same shape: ``reduce_mean(add(softplus(r), mul(-y, r)))`` as one node.
+    Labels other than 0 or 1, NaN included, raise ``ConfigError``."""
+    y = _loss_constant(labels, logits, "ce_mean")
+    if not ((y == 0) | (y == 1)).all():
+        raise ConfigError("ce_mean: labels must be 0 or 1")
+    rv, neg_y = logits.values, -y
+    shape, n = rv.shape, rv.size
+
+    def bwd(g):
+        g = np.full(shape, g[0, 0] / n)
+        return (g * sigmoid_values(rv) + g * neg_y,)  # softplus's adjoint reaches r before mul's
+
+    return _make(np.array([[(_softplus_values(rv) + neg_y * rv).mean()]]), "ce_mean", (logits,), bwd)
+
+
+def soft_ce_mean(logits: Tensor, targets, scale: float) -> Tensor:
+    """Mean cross-entropy of sigmoid(s), s = ``scale`` * ``logits``, against
+    soft ``targets`` p of the same shape: ``scalar_scale`` and then
+    ``reduce_mean(add(mul(p, softplus(neg(s))), mul(1 - p, softplus(s))))``
+    as one node. Targets outside [0, 1], NaN included, raise ``ConfigError``."""
+    p = _loss_constant(targets, logits, "soft_ce_mean")
+    if not ((p >= 0) & (p <= 1)).all():
+        raise ConfigError("soft_ce_mean: soft targets must lie in [0, 1]")
+    c = float(scale)
+    s = logits.values * c
+    q = 1.0 - p
+    shape, n = s.shape, s.size
+
+    def bwd(g):
+        g = np.full(shape, g[0, 0] / n)
+        # s hears from neg(s) first, then from softplus(s); scalar_scale passes the sum on
+        return ((-(g * p * sigmoid_values(-s)) + g * q * sigmoid_values(s)) * c,)
+
+    out = np.array([[(p * _softplus_values(-s) + q * _softplus_values(s)).mean()]])
+    return _make(out, "soft_ce_mean", (logits,), bwd)
+
+
+def bpr_mean(pos: Tensor, neg: Tensor) -> Tensor:
+    """Mean pairwise ranking loss -ln sigmoid(pos - neg), computed as
+    ``reduce_mean(softplus(add(neg(pos), neg)))`` in one node. The chain's
+    ``add`` raised on a non-finite difference, and softplus maps -inf to a
+    finite 0, so this op checks the difference too."""
+    if pos.shape != neg.shape or pos.values.size == 0:
+        raise ShapeError(f"bpr_mean: needs two equal nonempty shapes, got {pos.shape} and {neg.shape}")
+    d = -pos.values + neg.values
+    if not np.isfinite(d).all():
+        raise NumericError("non-finite output in op 'bpr_mean'")
+    shape, n = d.shape, d.size
+
+    def bwd(g):
+        g = np.full(shape, g[0, 0] / n) * sigmoid_values(d)
+        return -g, g
+
+    return _make(np.array([[_softplus_values(d).mean()]]), "bpr_mean", (pos, neg), bwd)
+
+
+def weighted_sum(terms, weights) -> Tensor:
+    """``terms[0] * weights[0] + terms[1] * weights[1] + ...`` summed from the
+    left: the ``add`` fold of ``scalar_scale`` nodes as one node. A weight of
+    1.0 stands in for an unscaled term, since x * 1.0 is x."""
+    terms, weights = tuple(terms), [float(w) for w in weights]
+    if not terms or len(weights) != len(terms) or any(t.shape != terms[0].shape for t in terms):
+        raise ShapeError(f"weighted_sum: {len(weights)} weights for terms of shapes {[t.shape for t in terms]}")
+    out = terms[0].values * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        out += t.values * w
+
+    def bwd(g):
+        return tuple(g * w for w in weights)
+
+    return _make(out, "weighted_sum", terms, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ the format.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import logging
@@ -163,8 +162,8 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in self.named_params}
-        self.v = {name: np.zeros_like(p.values) for name, p in self.named_params}
+        self.m = {name: np.zeros(p.shape) for name, p in self.named_params}
+        self.v = {name: np.zeros(p.shape) for name, p in self.named_params}
 
     def step(self):
         self.t += 1
@@ -299,10 +298,10 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
         components[f"student_{task}"] = loss.item()
         terms.append((h.weight_a if task == "a" else h.weight_b, loss))
 
-    scaled = [ng.scalar_scale(term, weight) for weight, term in terms if weight != 0]
-    if not scaled:
+    kept = [(weight, term) for weight, term in terms if weight != 0]
+    if not kept:
         raise ConfigError("all loss weights are zero; nothing to train")
-    total = functools.reduce(ng.add, scaled)
+    total = ng.weighted_sum([term for _, term in kept], [weight for weight, _ in kept])
     components["model"] = total.item()
 
     state.net.zero_grad()

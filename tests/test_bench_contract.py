@@ -5,7 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+from crossdistil import numgrad, training
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_traced_name_is_defined_where_the_tracer_replaces_it(monkeypatch):
+    """The tracer swaps ``owner.__dict__[attr]`` for each of its targets, the op
+    counter and the checkpoint JSON shim; a renamed one fails here, not only
+    in the self-test's subprocess."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layertrace
+
+    targets = [(owner, attr) for owner, attr, _ in layertrace._TARGETS]
+    targets += [(numgrad, "_make"), (numgrad.Tensor, "__init__"), (training, "json")]
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in targets if attr not in vars(owner)]
+    assert not missing
 
 
 def test_bench_selftest_passes():

@@ -48,6 +48,22 @@ class TestCeFromLogits:
         expected = -np.mean(y * np.log(1 / (1 + np.exp(-r))) + (1 - y) * np.log(1 - 1 / (1 + np.exp(-r))))
         assert abs(ce_from_logits(y, col(r)).item() - expected) < 1e-12
 
+    @pytest.mark.parametrize("label", [2.0, -1.0, 0.5, np.nan])
+    def test_labels_other_than_0_or_1_are_rejected(self, label):
+        with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+            ce_from_logits([1.0, label], col([0.0, 0.0]))
+
+
+class TestSoftCeFromLogits:
+    @pytest.mark.parametrize("target", [-0.1, 1.5, np.nan])
+    def test_targets_outside_the_unit_interval_are_rejected(self, target):
+        with pytest.raises(ConfigError, match=r"soft targets must lie in \[0, 1\]"):
+            soft_ce_from_logits([0.5, target], col([0.0, 0.0]))
+
+    def test_scale_multiplies_the_logits(self, rng):
+        p, r = rng.uniform(size=5), rng.normal(size=5)
+        assert soft_ce_from_logits(p, col(r), 0.5).item() == soft_ce_from_logits(p, col(r * 0.5)).item()
+
 
 class TestQuadrupletLoss:
     def quad(self, rng, task="a", beta1=1.0, beta2=1.0, n=8):

@@ -1,6 +1,7 @@
 """Unit tests for the autodiff engine: op semantics, gradient correctness
 against central finite differences, accumulation, and determinism."""
 
+import functools
 import zlib
 
 import numpy as np
@@ -121,9 +122,22 @@ class TestForwardValues:
             Tensor(np.zeros((2, 2, 2)))
 
 
+def ce_chain(r, y):
+    return ng.reduce_mean(ng.add(ng.softplus(r), ng.mul(t(-y), r)))
+
+
+def soft_ce_chain(r, p, scale):
+    s = ng.scalar_scale(r, scale)
+    return ng.reduce_mean(ng.add(ng.mul(t(p), ng.softplus(ng.neg(s))), ng.mul(t(1.0 - p), ng.softplus(s))))
+
+
+def bpr_chain(pos, neg):
+    return ng.reduce_mean(ng.softplus(ng.add(ng.neg(pos), neg)))
+
+
 class TestFusedOpsMatchTheirChains:
-    """``linear`` and ``gather_cols`` give the bytes of the op chains they fuse:
-    forward values, and every gradient under an adjoint summed from two uses."""
+    """Each fused op gives the bytes of the op chain it fuses: forward values,
+    and every gradient under an adjoint summed from two uses."""
 
     @staticmethod
     def run(fwd, leaves, rng_seed=5):
@@ -168,6 +182,91 @@ class TestFusedOpsMatchTheirChains:
         fused = self.run(twice(lambda: ng.gather_cols(tables, ids)), tables)
         assert fused == self.run(twice(chain), tables)
         assert all((r is None) == (rows == 6) for r in fused[2])
+
+    @pytest.fixture
+    def logit(self, rng):
+        """A column of logits made by a layer, so its adjoint is folded at a
+        node between the loss and the leaves."""
+        x, w, b = (t(rng.normal(size=shape), requires_grad=True) for shape in ((9, 3), (3, 1), (1, 1)))
+        return (x, w, b), lambda: ng.linear(x, w, b)
+
+    def test_ce_mean(self, rng, logit):
+        leaves, r = logit
+        y = rng.integers(0, 2, size=(9, 1)).astype(float)
+        assert self.run(lambda: ng.ce_mean(r(), y), leaves) == self.run(lambda: ce_chain(r(), y), leaves)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.4])
+    def test_soft_ce_mean(self, rng, logit, scale):
+        leaves, r = logit
+        p = rng.uniform(0, 1, size=(9, 1))
+        p[:2, 0] = (0.0, 1.0)
+        fused = self.run(lambda: ng.soft_ce_mean(r(), p, scale), leaves)
+        assert fused == self.run(lambda: soft_ce_chain(r(), p, scale), leaves)
+
+    def test_bpr_mean(self, rng):
+        # pos and neg from one weight, as the pair forwards of a step are;
+        # three uses of it make the order of its adjoint's sum matter
+        x1, x2, x3, w = (t(rng.normal(size=shape), requires_grad=True) for shape in ((6, 3),) * 3 + ((3, 1),))
+        leaves = (x1, x2, x3, w)
+
+        def logits():
+            return ng.matmul(x1, w), ng.add(ng.matmul(x2, w), ng.matmul(x3, w))
+
+        fused = self.run(lambda: ng.bpr_mean(*logits()), leaves)
+        assert fused == self.run(lambda: bpr_chain(*logits()), leaves)
+
+    def test_weighted_sum(self, rng):
+        terms = [t(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+        weights = (0.7, 1.3, 0.0, 2.5)
+
+        def chain():
+            return functools.reduce(ng.add, [ng.scalar_scale(x, c) for x, c in zip(terms, weights)])
+
+        assert self.run(lambda: ng.weighted_sum(terms, weights), terms) == self.run(chain, terms)
+
+    def test_weight_one_is_an_unscaled_term(self, rng):
+        terms = [t(rng.normal(size=(1, 1)), requires_grad=True) for _ in range(3)]
+
+        def chain():  # quadruplet_loss's chain: the first term is not scaled
+            return ng.add(ng.add(terms[0], ng.scalar_scale(terms[1], 0.3)), ng.scalar_scale(terms[2], 1.7))
+
+        fused = self.run(lambda: ng.weighted_sum(terms, (1.0, 0.3, 1.7)), terms)
+        assert fused == self.run(chain, terms)
+
+    def test_ce_and_kd_of_one_logit(self, rng, logit):
+        """The student loss: CE and KD both read the student logit, whose
+        adjoint adds CE's softplus and mul parts first and KD's after."""
+        leaves, r = logit
+        y = rng.integers(0, 2, size=(9, 1)).astype(float)
+        p = rng.uniform(0, 1, size=(9, 1))
+
+        def fused():
+            rv = r()
+            return ng.weighted_sum((ng.ce_mean(rv, y), ng.soft_ce_mean(rv, p, 0.5)), (0.3, 0.7))
+
+        def chain():
+            rv = r()
+            return ng.add(ng.scalar_scale(ce_chain(rv, y), 0.3), ng.scalar_scale(soft_ce_chain(rv, p, 0.5), 0.7))
+
+        assert self.run(fused, leaves) == self.run(chain, leaves)
+
+    def test_loss_op_shape_errors(self):
+        r = t(np.zeros((3, 1)))
+        with pytest.raises(ShapeError, match=r"ce_mean: .*\(2, 1\) vs logits of shape \(3, 1\)"):
+            ng.ce_mean(r, np.zeros((2, 1)))
+        with pytest.raises(ShapeError, match="soft_ce_mean of an empty tensor"):
+            ng.soft_ce_mean(t(np.zeros((0, 1))), np.zeros((0, 1)), 1.0)
+        with pytest.raises(ShapeError, match="bpr_mean"):
+            ng.bpr_mean(r, t(np.zeros((1, 1))))
+        for terms, weights in (((), ()), ((r,), (1.0, 2.0)), ((r, t(np.zeros((1, 1)))), (1.0, 2.0))):
+            with pytest.raises(ShapeError, match="weighted_sum"):
+                ng.weighted_sum(terms, weights)
+
+    def test_bpr_mean_names_a_non_finite_difference(self):
+        # softplus(-inf) is 0, so only the check of the difference sees this
+        big = t([[1e308]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'bpr_mean'"):
+            ng.bpr_mean(big, ng.neg(big))
 
     def test_linear_shape_errors(self):
         x, w = t(np.ones((2, 3))), t(np.ones((3, 4)))
@@ -314,6 +413,25 @@ def _random_instance(op_name, rng):
         a = Tensor(rng.uniform(0.5, 3.0, size=(m, n)), requires_grad=True)
         fwd = lambda: ng.log(a)
         tensors = (a,)
+    elif op_name == "ce_mean":
+        a = mk((m, n))
+        y = rng.integers(0, 2, size=(m, n))
+        fwd = lambda: ng.ce_mean(a, y)
+        tensors = (a,)
+    elif op_name == "soft_ce_mean":
+        a = mk((m, n))
+        p, c = rng.uniform(0, 1, size=(m, n)), float(rng.uniform(0.2, 3.0))
+        fwd = lambda: ng.soft_ce_mean(a, p, c)
+        tensors = (a,)
+    elif op_name == "bpr_mean":
+        a, b = mk((m, n)), mk((m, n))
+        fwd = lambda: ng.bpr_mean(a, b)
+        tensors = (a, b)
+    elif op_name == "weighted_sum":
+        terms = [mk((m, n)) for _ in range(int(rng.integers(1, 4)))]
+        weights = rng.normal(size=len(terms))
+        fwd = lambda: ng.weighted_sum(terms, weights)
+        tensors = tuple(terms)
     elif op_name == "scalar_scale":
         a = mk((m, n))
         c = float(rng.normal())
@@ -333,7 +451,7 @@ def _random_instance(op_name, rng):
 ALL_OPS = (
     "matmul", "add", "mul", "neg", "sigmoid", "exp", "log", "softplus", "relu", "linear", "linear_relu",
     "concat_cols", "row_mix", "row_gather", "gather_cols", "reduce_sum", "reduce_mean", "row_softmax",
-    "scalar_scale",
+    "scalar_scale", "ce_mean", "soft_ce_mean", "bpr_mean", "weighted_sum",
 )
 
 

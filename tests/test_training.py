@@ -333,14 +333,17 @@ def test_crossdistil_gated_step_records_one_op_per_layer(datasets, monkeypatch):
     dense layer it runs: the 2 shared experts, a private expert and a gate per
     task it feeds, and a tower per head. That is 10 for the records, 8 for each
     of the 4 quadruplet subsets and for the calibration forward, and 5 for each
-    of the 4 pair unions. The Platt map adds one ``linear`` per task, and the
-    losses make up the rest."""
+    of the 4 pair unions. The Platt map adds one ``linear`` per task. Each
+    loss term is one node: per task 3 ``bpr_mean`` joined by a
+    ``weighted_sum``, a student ``ce_mean`` and ``soft_ce_mean`` joined by
+    another, and the calibration ``ce_mean``; one ``weighted_sum`` makes the
+    model loss and one ``add`` the calibration loss."""
     ops, forwards = _step_ops(monkeypatch, datasets[0], "gated_experts", "crossdistil")
     assert forwards == 10
     assert ops == {
-        "gather_cols": 10, "linear": 72, "row_softmax": 16, "row_mix": 16, "add": 22, "mul": 8, "neg": 10,
-        "softplus": 14, "scalar_scale": 14, "reduce_mean": 12, "exp": 2}
-    assert sum(ops.values()) == 196
+        "gather_cols": 10, "linear": 72, "row_softmax": 16, "row_mix": 16, "exp": 2, "neg": 2, "add": 1,
+        "bpr_mean": 6, "ce_mean": 4, "soft_ce_mean": 2, "weighted_sum": 5}
+    assert sum(ops.values()) == 136
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)
@@ -352,8 +355,8 @@ def test_every_recorded_op_is_in_the_op_table(datasets, monkeypatch, backbone, v
 
 def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch):
     """Per task, the tape holds the Platt map (exp, neg, linear) and the
-    cross-entropy on its logit (softplus, mul, add, reduce_mean); one add
-    joins the tasks. No sigmoid is made, and backward reaches every node."""
+    cross-entropy on its logit (ce_mean); one add joins the tasks. No
+    sigmoid is made, and backward reaches every node."""
     train_ds = datasets[0]
     cfg = T.TrainConfig(batch_size=8, seed=3)
     state = T.init_state(ModelConfig(**MODEL), train_ds, cfg)
@@ -372,7 +375,7 @@ def test_calibration_step_records_only_what_its_loss_reads(datasets, monkeypatch
     T.calibration_step(state, train_ds, batch)
     assert "sigmoid" not in made
     assert Counter(t.op for t in recorded) == {
-        "exp": 2, "linear": 2, "neg": 2, "add": 3, "softplus": 2, "mul": 2, "reduce_mean": 2}
+        "exp": 2, "linear": 2, "neg": 2, "add": 1, "ce_mean": 2}
     reached, stack = set(), [recorded[-1]]  # the last node made is the loss
     while stack:
         node = stack.pop()

@@ -14,11 +14,11 @@ from a checkout with ``src`` on ``PYTHONPATH``::
 last three set the parameter of both tasks.
 
 The config file is JSON with sections ``data`` (either ``{"path": ...}`` or
-``{"synthetic": {...}}``), ``split`` (``{"fractions": [0.8, 0.1, 0.1]}`` or
-``{"column": true}``), ``model``, ``train`` (with nested ``hyper``), and
-``seeds``; any key these do not define is an error. Every command is
-deterministic given (config, seed); outputs carry the resolved config
-alongside for provenance.
+``{"synthetic": {...}}``), ``split`` (``{"fractions": [0.8, 0.1, 0.1]}`` or,
+for a CSV with a split column, ``{"column": true}``), ``model``, ``train``
+(with nested ``hyper``), and ``seeds``; any key these do not define is an
+error. Every command is deterministic given (config, seed); outputs carry
+the resolved config alongside for provenance.
 """
 
 from __future__ import annotations
@@ -98,7 +98,14 @@ def _build_run_config(raw: dict) -> RunConfig:
 
     split = raw.get("split", {})
     _check_keys(split, ("fractions", "column"), "split.")
-    if split.get("column"):
+    column = split.get("column", False)
+    if not isinstance(column, bool):
+        raise ConfigError(f"config split.column must be true or false, got {column!r}")
+    if column:
+        if "fractions" in split:
+            raise ConfigError("config split sets both column and fractions; a split column uses no fractions")
+        if synth_raw is not None:
+            raise ConfigError("config split.column needs data.path: synthetic data has no split column")
         split = {"column": True}
     else:
         split = {"fractions": check_fractions(split.get("fractions", [0.8, 0.1, 0.1]))}

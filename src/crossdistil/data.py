@@ -4,8 +4,10 @@ correlated-feedback generator used by the end-to-end experiments.
 
 ``QUADS`` names the four label-combination subsets and ``PAIRS`` each
 task's positive and negative union; these two tables are the only place
-the subset names are written. ``partition`` maps every name to its row
-indices and ``sample`` draws a bootstrap batch from any of them, keyed
+the subset names are written. ``RANKED`` gives, for each task, the three
+(higher, lower) subset pairs its teacher ranks, in the order its loss sums
+them, as slices of those two tables. ``partition`` maps every name to its
+row indices and ``sample`` draws a bootstrap batch from any of them, keyed
 the same way.
 
 The canonical on-disk format is a plain CSV with integer feature ids:
@@ -22,7 +24,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateLabels, require_ints, require_positive
+from .errors import ConfigError, DataError, DegenerateLabels, require_finite, require_ints, require_positive
 from .numgrad import sigmoid_values as _sigmoid
 
 SPLIT_TAGS = ("train", "valid", "test")
@@ -102,6 +104,9 @@ class Dataset:
 
 QUADS = ("pos_pos", "pos_neg", "neg_pos", "neg_neg")  # (y_a, y_b) = (1,1), (1,0), (0,1), (0,0)
 PAIRS = {"a": ("pos_any", "neg_any"), "b": ("any_pos", "any_neg")}  # each task's positive, negative union
+# each task's (higher, lower) pairs: its positive over its negative union, then, within its
+# positives and within its negatives, the rows positive on the other task over those negative on it
+RANKED = {"a": (PAIRS["a"], QUADS[:2], QUADS[2:]), "b": (PAIRS["b"], QUADS[::2], QUADS[1::2])}
 
 LabelPartition = dict[str, np.ndarray]  # subset name in QUADS or PAIRS -> sample indices
 
@@ -283,6 +288,7 @@ class SynthConfig:
 
     def __post_init__(self):
         require_ints(self, ("n_users", "n_items", "n_context_fields", "context_vocab", "latent_dim", "n_samples"))
+        require_finite(self, ("rho", "rate_a", "rate_b"))
         if not -1.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [-1, 1], got {self.rho}")
         for name in ("rate_a", "rate_b"):

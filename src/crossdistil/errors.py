@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and positive-number checks of config fields."""
+"""Exception types shared across the package, and the integer, finite and positive checks of config fields."""
 
 import math
 from numbers import Integral, Real
@@ -31,6 +31,14 @@ def require_ints(config, names) -> None:
         for v in value if isinstance(value, (tuple, list)) else (value,):
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
+
+
+def require_finite(config, names) -> None:
+    """Raise naming the first of ``names`` whose value is not a finite real number; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite and a number (not a bool), got {value!r}")
 
 
 def require_positive(config, names) -> None:

@@ -12,13 +12,12 @@ that one logit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, require_finite
 from .numgrad import Tensor
 
 
@@ -41,9 +40,7 @@ class HyperParams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        require_finite(self, [f.name for f in fields(self)])
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         for name in ("alpha_a", "alpha_b"):
@@ -129,27 +126,15 @@ def bpr_loss(pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
     return ng.bpr_mean(pos_logits, neg_logits)
 
 
-def quadruplet_loss(
-    task: str,
-    r_pp: Tensor, r_pn: Tensor, r_np: Tensor, r_nn: Tensor,
-    r_pos: Tensor, r_neg: Tensor,
-    beta1: float, beta2: float,
-) -> Tensor:
+def quadruplet_loss(ranked, beta1: float, beta2: float) -> Tensor:
     """Ranking loss of an augmented teacher task over the four label classes.
 
-    Task "a" enforces (1,1) > (1,0) within its positives and (0,1) > (0,0)
-    within its negatives; task "b" mirrors with (1,1) > (0,1) and
-    (1,0) > (0,0). The third term is the task's ordinary bipartite pair
-    drawn from the label unions. Each term is a batch mean, and the third
-    is added unscaled: loss = bpr(pos, neg) + beta1 * first + beta2 * second.
+    ``ranked`` holds three (higher, lower) logit pairs, those of a task's
+    ``data.RANKED`` entry: its positive and negative union, then the two
+    within-class pairs. Each term is a batch mean, and the first is added
+    unscaled: loss = bpr(*ranked[0]) + beta1 * bpr(*ranked[1]) + beta2 * bpr(*ranked[2]).
     """
-    if task == "a":
-        first, second = (r_pp, r_pn), (r_np, r_nn)
-    elif task == "b":
-        first, second = (r_pp, r_np), (r_pn, r_nn)
-    else:
-        raise ConfigError(f"quadruplet_loss: unknown task {task!r}")
-    return ng.weighted_sum((bpr_loss(r_pos, r_neg), bpr_loss(*first), bpr_loss(*second)), (1.0, beta1, beta2))
+    return ng.weighted_sum(tuple(bpr_loss(hi, lo) for hi, lo in ranked), (1.0, beta1, beta2))
 
 
 def calibrate(raw_logits: Tensor, params: CalibrationParams, task: str) -> Tensor:

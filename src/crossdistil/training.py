@@ -16,22 +16,24 @@ ablation table; ``VARIANTS`` names them in that order:
 - ``backbone``: the two students alone.
 
 The teacher heads train with one of four losses, by ``VariantWiring.teachers``:
-``"quad"`` the quadruplet ranking loss, ``"pair"`` its pairwise term alone
-(``bpr_loss`` over ``data.PAIRS[task]``), ``"ce"`` plain cross-entropy on
+``"quad"`` the quadruplet ranking loss over the pairs of ``data.RANKED[task]``,
+``"pair"`` its first, pairwise term alone, ``"ce"`` plain cross-entropy on
 the records, or ``"off"``. A variant that does not read a hyper-parameter
 keeps it as configured: ``no_auxiliary_rank`` records the betas it ignores,
 as ``taug`` records ``alpha``.
 
 Each step samples a batch dict of row indices (``sample_step_batch``):
-``records``, then the four ``data.QUADS`` subsets for ``"quad"``, then
+``records``, then the label subsets that ``SAMPLED`` names for the teacher
+kind: the four ``data.QUADS`` subsets for ``"quad"``, then
 ``data.PAIRS["a"] + data.PAIRS["b"]`` for ``"quad"`` and ``"pair"``.
-``model_loss_step`` forwards every key in that order from one place, for
-these heads: for ``records`` the two students, plus the
+``train`` reads the same table to reject an empty subset before it builds
+or evaluates anything. ``model_loss_step`` forwards every key in that order
+from one place, for these heads: for ``records`` the two students, plus the
 ``TEACHERS`` when the variant trains or distils from them on the records;
-for the rest ``FORWARDED_HEADS``, the two ``TEACHERS`` for each quadruplet
-subset and the one teacher a union is ranked by for each pair. Sampling uses
-three independent RNG streams (records, quadruplets, pairs) spawned from the
-seed, so variants that skip a sampler still see the same record batches
+for the rest ``FORWARDED_HEADS``, the teachers whose ``RANKED`` pairs hold
+the subset (both for a quadruplet subset, one for a union). Sampling uses
+three independent RNG streams (records, quadruplets, pairs) spawned from
+the seed, so variants that skip a sampler still see the same record batches
 step for step.
 
 A checkpoint is one uncompressed ``.npz``: every float64 array of the state
@@ -53,8 +55,8 @@ import numpy as np
 from . import losses as L
 from . import metrics as M
 from . import numgrad as ng
-from .data import PAIRS, QUADS, Dataset, LabelPartition, partition, sample
-from .errors import ConfigError, NumericError, TrainingAborted, require_ints, require_positive
+from .data import PAIRS, QUADS, RANKED, Dataset, LabelPartition, partition, sample
+from .errors import ConfigError, DegenerateLabels, NumericError, TrainingAborted, require_ints, require_positive
 from .losses import CalibrationParams, HyperParams
 from .model import HEADS, TASKS, TEACHERS, ModelConfig, MultiTaskNet
 from .numgrad import Tensor
@@ -232,9 +234,13 @@ def _build_state(model_cfg: ModelConfig, vocab_sizes, field_names, cfg: TrainCon
     )
 
 
-# the heads forwarded for each sampled row set; those of "records" depend on the wiring
-FORWARDED_HEADS = {**dict.fromkeys(QUADS, TEACHERS),
-                   **{name: (f"{task}_plus",) for task in TASKS for name in PAIRS[task]}}
+# the label subsets each teacher kind samples, by RNG stream, in draw order
+SAMPLED = {"quad": {"quads": QUADS, "pairs": PAIRS["a"] + PAIRS["b"]}, "pair": {"pairs": PAIRS["a"] + PAIRS["b"]},
+           "ce": {}, "off": {}}
+
+# the heads forwarded for each sampled subset, those of the teachers that rank it; the records' depend on the wiring
+FORWARDED_HEADS = {name: tuple(f"{task}_plus" for task in TASKS if name in sum(RANKED[task], ()))
+                   for name in QUADS + PAIRS["a"] + PAIRS["b"]}
 
 
 def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
@@ -242,10 +248,8 @@ def sample_step_batch(state: TrainState, part: LabelPartition, n_train: int,
     """Everything one iteration samples before touching the model, by row-set name."""
     b = cfg.batch_size
     batch = {"records": state.rng_records.integers(0, n_train, size=b)}
-    if wiring.teachers == "quad":
-        batch.update(sample(part, QUADS, b, state.rng_quads))
-    if wiring.teachers in ("quad", "pair"):
-        batch.update(sample(part, PAIRS["a"] + PAIRS["b"], b, state.rng_pairs))
+    for stream, names in SAMPLED[wiring.teachers].items():
+        batch.update(sample(part, names, b, getattr(state, f"rng_{stream}")))
     return batch
 
 
@@ -281,9 +285,9 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
             if wiring.teachers == "ce":
                 loss = L.ce_from_logits(labels[task], heads[teacher])
             elif wiring.teachers == "quad":
-                loss = L.quadruplet_loss(task, *(logits[n][teacher] for n in QUADS + PAIRS[task]), *h.beta(task))
+                loss = L.quadruplet_loss([[logits[n][teacher] for n in pair] for pair in RANKED[task]], *h.beta(task))
             else:
-                loss = L.bpr_loss(*(logits[name][teacher] for name in PAIRS[task]))
+                loss = L.bpr_loss(*(logits[name][teacher] for name in RANKED[task][0]))
             components[f"teacher_{task}"] = loss.item()
             terms.append((h.weight_a_plus if task == "a" else h.weight_b_plus, loss))
 
@@ -398,6 +402,9 @@ def train(train_ds: Dataset, eval_ds: Dataset, model_cfg: ModelConfig, cfg: Trai
     part = partition(train_ds)
     log.info("label subset sizes: %s", {name: part[name].size for name in QUADS})
     wiring = apply_variant(cfg.variant)
+    if empty := [name for names in SAMPLED[wiring.teachers].values() for name in names if part[name].size == 0]:
+        raise DegenerateLabels(f"variant {cfg.variant!r} samples the label subsets {empty}, "
+                               "which are empty in the training data")
     if state is None:
         state = init_state(model_cfg, train_ds, cfg)
     else:

@@ -373,6 +373,37 @@ def test_bad_split_fractions_exit_2_at_load(tmp_path, capsys, monkeypatch, fract
     assert_one_line_error(capsys, "split.fractions")
 
 
+@pytest.mark.parametrize("data, split, needle", [
+    (CONFIG["data"], {"column": True}, "synthetic data has no split column"),
+    ({"path": "data.csv"}, {"column": True, "fractions": [0.6, 0.2, 0.2]}, "both column and fractions"),
+    ({"path": "data.csv"}, {"column": "false"}, "split.column must be true or false"),
+])
+def test_bad_split_column_exits_2_at_load(tmp_path, capsys, monkeypatch, data, split, needle):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**CONFIG, "data": data, "split": split}), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    monkeypatch.setattr(cli, "load_csv", None)
+    assert main(["train", "--config", str(config)]) == 2
+    assert_one_line_error(capsys, "config split", needle)
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("hyper", "alpha_a", True),
+    ("hyper", "margin", "1.0"),
+    ("hyper", "beta1_b", None),
+    ("data", "rho", True),
+    ("data", "rate_a", "0.3"),
+])
+def test_non_number_float_field_exits_2_at_load_naming_it(tmp_path, capsys, monkeypatch, section, name, value):
+    if section == "hyper":
+        path = write_config(tmp_path / "cfg.json", hyper={name: value})
+    else:
+        path = write_field(tmp_path, section, name, value)
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", path]) == 2
+    assert_one_line_error(capsys, f"{name} must be finite")
+
+
 def test_repeated_csv_column_exits_2_at_load(tmp_path, capsys):
     """Two ``f_x`` columns would be two embedding tables under one name."""
     rows = "".join(f"{i % 9},{i % 5},{i % 2},{i // 2 % 2}\n" for i in range(40))

@@ -231,6 +231,12 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SynthConfig(rho=1.5)
 
+    @pytest.mark.parametrize("name", ["rho", "rate_a", "rate_b"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), float("inf")])
+    def test_non_finite_or_non_number_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SynthConfig(**{name: value})
+
 
 class TestCorruptLabels:
     def test_ratio_zero_is_identity(self, rng):

@@ -16,10 +16,18 @@ float summation order by a few ulps.
 Regenerate the fixture only for a change that is meant to alter results:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To check that a change keeps every run bit for bit, compare what
+
+    PYTHONPATH=src python tests/test_golden.py --digest
+
+prints before and after it: one SHA-256 over the JSON of every run, in
+``RUNS`` order. It writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import base64
 import hashlib
 import json
@@ -114,8 +122,22 @@ def test_history_matches_golden(datasets, golden, run):
                                    atol=RTOL * np.abs(values).max(), err_msg=name)
 
 
+def digest(datasets) -> str:
+    """SHA-256 over ``json.dumps(run_golden(run), sort_keys=True)`` of every run, in ``RUNS`` order."""
+    h = hashlib.sha256()
+    for run in RUNS:
+        h.update(json.dumps(run_golden(datasets, run), sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Regenerate the golden fixture, or print the digest of every run.")
+    parser.add_argument("--digest", action="store_true", help="print the digest of every run and write nothing")
+    args = parser.parse_args()
     data = make_datasets()
-    runs = {run: run_golden(data, run) for run in RUNS}
-    FIXTURE.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(runs)} runs to {FIXTURE}")
+    if args.digest:
+        print(digest(data))
+    else:
+        runs = {run: run_golden(data, run) for run in RUNS}
+        FIXTURE.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(runs)} runs to {FIXTURE}")

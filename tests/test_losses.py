@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients, tiny_net
 from crossdistil import numgrad as ng
+from crossdistil.data import PAIRS, QUADS, RANKED
 from crossdistil.errors import ConfigError
 from crossdistil.losses import (
     CalibrationParams,
@@ -65,23 +66,30 @@ class TestSoftCeFromLogits:
         assert soft_ce_from_logits(p, col(r), 0.5).item() == soft_ce_from_logits(p, col(r * 0.5)).item()
 
 
+def ranked(task, logits):
+    """The (higher, lower) pairs of ``RANKED[task]``, from logits keyed pp, pn, np, nn
+    (the ``QUADS`` subsets in order) and pos, neg (the ``PAIRS[task]`` unions)."""
+    by_name = {name: logits[key] for key, name in zip(("pp", "pn", "np", "nn", "pos", "neg"), QUADS + PAIRS[task])}
+    return [[by_name[name] for name in pair] for pair in RANKED[task]]
+
+
 class TestQuadrupletLoss:
     def quad(self, rng, task="a", beta1=1.0, beta2=1.0, n=8):
         tensors = {k: col(rng.normal(size=n), requires_grad=True)
                    for k in ("pp", "pn", "np", "nn", "pos", "neg")}
-        loss = quadruplet_loss(task, tensors["pp"], tensors["pn"], tensors["np"],
-                               tensors["nn"], tensors["pos"], tensors["neg"], beta1, beta2)
+        loss = quadruplet_loss(ranked(task, tensors), beta1, beta2)
         return loss, tensors
 
     def test_all_logits_equal(self):
         z = col(np.zeros(5))
-        loss = quadruplet_loss("a", z, z, z, z, z, z, 0.7, 0.3)
+        loss = quadruplet_loss([(z, z)] * 3, 0.7, 0.3)
         assert abs(loss.item() - (0.7 + 0.3 + 1.0) * LN2) < 1e-14
 
     def test_saturated_first_term(self):
         zero = col(np.zeros(4))
         pp = col(np.full(4, 40.0))
-        loss = quadruplet_loss("a", pp, zero, zero, zero, zero, zero, 1.0, 1.0)
+        loss = quadruplet_loss(ranked("a", {"pp": pp, **dict.fromkeys(("pn", "np", "nn", "pos", "neg"), zero)}),
+                               1.0, 1.0)
         assert abs(loss.item() - 2 * LN2) < 1e-12
 
     @pytest.mark.parametrize("task", ["a", "b"])
@@ -102,8 +110,7 @@ class TestQuadrupletLoss:
                 - 0.4 * lns(vals["pn"] - vals["nn"]).mean()
                 - lns(vals["pos"] - vals["neg"]).mean()
             )
-        loss = quadruplet_loss(task, col(vals["pp"]), col(vals["pn"]), col(vals["np"]),
-                               col(vals["nn"]), col(vals["pos"]), col(vals["neg"]), 1.3, 0.4)
+        loss = quadruplet_loss(ranked(task, {k: col(v) for k, v in vals.items()}), 1.3, 0.4)
         assert abs(loss.item() - expected) < 1e-12
 
     def test_gradients(self, rng):
@@ -111,8 +118,7 @@ class TestQuadrupletLoss:
         del loss
 
         def rebuild():
-            return quadruplet_loss("b", tensors["pp"], tensors["pn"], tensors["np"],
-                                   tensors["nn"], tensors["pos"], tensors["neg"], 0.8, 1.2)
+            return quadruplet_loss(ranked("b", tensors), 0.8, 1.2)
 
         check_gradients(rebuild, list(tensors.values()), rng, n_entries=3)
 
@@ -294,7 +300,7 @@ class TestHyperParams:
 
     @pytest.mark.parametrize("name", ["temperature", "alpha_a", "beta1_b", "margin", "weight_a_plus",
                                       "weight_decay"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, False, "1.0", None, [1.0]])
     def test_non_finite_rejected_by_name(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             HyperParams(**{name: value})
@@ -319,7 +325,7 @@ def test_every_loss_nonnegative_and_finite(logit_list, seed):
         bpr_loss(r, other).item(),
         kd_loss(other, r, 1.7).item(),
         soft_ce_from_logits(rng.uniform(0, 1, size=n), r).item(),
-        quadruplet_loss("a", r, other, r, other, r, other, 0.5, 2.0).item(),
+        quadruplet_loss([(r, other)] * 3, 0.5, 2.0).item(),
     ]
     for v in values:
         assert np.isfinite(v) and v >= 0.0

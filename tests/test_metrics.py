@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdistil import metrics
+from crossdistil.data import RANKED, Dataset, partition
 from crossdistil.errors import ConfigError, UndefinedMetricError
 from crossdistil.metrics import auc, class_of, logloss, multi_auc
 
@@ -230,3 +231,14 @@ class TestClassOf:
         yb = np.array([1, 0, 1, 0])
         np.testing.assert_array_equal(class_of(ya, yb, "a"), [3, 2, 1, 0])
         np.testing.assert_array_equal(class_of(ya, yb, "b"), [3, 1, 2, 0])
+
+    @pytest.mark.parametrize("task", ["a", "b"])
+    def test_ranks_every_pair_the_teacher_is_trained_on(self, task):
+        """Evaluation orders the four label pairs as the task's teacher is trained
+        to: every row of each higher subset of ``RANKED[task]`` gets a higher
+        class than every row of its lower subset."""
+        ya, yb = np.array([1, 1, 0, 0]), np.array([1, 0, 1, 0])
+        part = partition(Dataset(("x",), (1,), np.zeros((4, 1), dtype=np.int64), ya, yb))
+        classes = class_of(ya, yb, task)
+        for hi, lo in RANKED[task]:
+            assert classes[part[hi]].min() > classes[part[lo]].max(), (hi, lo)

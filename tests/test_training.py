@@ -15,7 +15,7 @@ from conftest import finite_difference, grad_close, tiny_net
 from crossdistil import numgrad as ng
 from crossdistil import training as T
 from crossdistil.data import PAIRS, QUADS, Dataset, SynthConfig, generate_synthetic, partition, split_dataset
-from crossdistil.errors import ConfigError, NumericError, TrainingAborted
+from crossdistil.errors import ConfigError, DegenerateLabels, NumericError, TrainingAborted
 from crossdistil.losses import CalibrationParams, HyperParams
 from crossdistil.model import BACKBONES, HEADS, TEACHERS, ModelConfig, MultiTaskNet
 from crossdistil.numgrad import Tensor
@@ -425,6 +425,23 @@ def test_repeated_field_names_are_rejected_at_init_state():
     ds = Dataset(("x", "x"), (9, 5), np.zeros((4, 2), dtype=np.int64), np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0]))
     with pytest.raises(ConfigError, match="field names must be distinct"):
         T.init_state(ModelConfig(**MODEL), ds, T.TrainConfig())
+
+
+def test_an_empty_sampled_subset_fails_before_any_state_or_evaluation(datasets, monkeypatch):
+    """Without (1,1) rows crossdistil has no quadruplet to draw: ``train`` names the
+    variant and the subset before it builds a state or evaluates. Variants that
+    draw no quadruplets train on the same rows."""
+    train_ds, eval_ds = datasets
+    no_pos_pos = train_ds.subset(np.flatnonzero(train_ds.y_a + train_ds.y_b < 2))
+    built = _count_calls(monkeypatch, T, "init_state")
+    evaluated = _count_calls(monkeypatch, T, "evaluate")
+    cfg = T.TrainConfig(batch_size=8, steps=2, eval_interval=2, seed=3)
+    with pytest.raises(DegenerateLabels, match=r"^variant 'crossdistil' samples the label subsets \['pos_pos'\]"):
+        T.train(no_pos_pos, eval_ds, ModelConfig(**MODEL), cfg)
+    assert (built, evaluated) == ([], [])
+    for variant in ("no_auxiliary_rank", "kd_same_task", "backbone"):
+        state, history = T.train(no_pos_pos, eval_ds, ModelConfig(**MODEL), replace(cfg, variant=variant))
+        assert state.step == 2 and [r["step"] for r in history] == [0, 2], variant
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)

@@ -13,6 +13,15 @@ from a checkout with ``src`` on ``PYTHONPATH``::
 ``sweep --param`` takes ``margin``, ``beta1``, ``beta2`` or ``alpha``; the
 last three set the parameter of both tasks.
 
+``ablate``, ``corrupt-sweep`` and ``sweep`` each train every config seed
+once per row and write one table (``table.csv``, ``curve_corruption.csv``,
+``curve_<param>.csv``) with the columns ``variant``, ``ratio`` or ``value``,
+then ``n_seeds``, then ``<m>_mean`` and ``<m>_std`` (``ddof=0``) over the
+seeds for each ``m`` of ``auc_a_student``, ``multi_auc_a_student``,
+``auc_b_student`` and ``multi_auc_b_student``. A repeated ratio or grid
+value is run once. ``ablate`` adds ``delta_<m>``, a row's mean minus the
+``crossdistil`` row's, and also writes ``ablate_summary.json``.
+
 The config file is JSON with sections ``data`` (either ``{"path": ...}`` or
 ``{"synthetic": {...}}``), ``split`` (``{"fractions": [0.8, 0.1, 0.1]}`` or,
 for a CSV with a split column, ``{"column": true}``), ``model``, ``train``
@@ -44,7 +53,7 @@ from .data import (
     split_by_column,
     split_dataset,
 )
-from .errors import ConfigError, CrossDistilError
+from .errors import ConfigError, CrossDistilError, require_object
 from .model import ModelConfig
 from .training import VARIANTS, TrainConfig, config_from_dict, evaluate, load_checkpoint, save_checkpoint, train
 
@@ -77,9 +86,7 @@ class RunConfig:
 
 def _check_keys(section, known, where: str = "") -> None:
     """Raise unless ``section`` is a dict whose keys are all in ``known``; ``where`` prefixes key names."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"config {where.rstrip('.')} must be a JSON object, got {section!r}")
-    for key in section:
+    for key in require_object(section, where.rstrip(".")):
         if key not in known:
             raise ConfigError(f"unknown config key '{where}{key}', expected one of {known}")
 
@@ -94,7 +101,7 @@ def _build_run_config(raw: dict) -> RunConfig:
         raise ConfigError("config data section needs exactly one of 'path' or 'synthetic'")
     if path is not None and not (isinstance(path, str) and path):
         raise ConfigError(f"config data.path must be a nonempty string, got {path!r}")
-    data = {"path": path} if synth_raw is None else {"synthetic": SynthConfig(**synth_raw)}
+    data = {"synthetic": SynthConfig(**require_object(synth_raw, "data.synthetic"))} if path is None else {"path": path}
 
     split = raw.get("split", {})
     _check_keys(split, ("fractions", "column"), "split.")
@@ -110,7 +117,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     else:
         split = {"fractions": check_fractions(split.get("fractions", [0.8, 0.1, 0.1]))}
 
-    model = ModelConfig(**raw.get("model", {}))
+    model = ModelConfig(**require_object(raw.get("model", {}), "model"))
 
     train_cfg = config_from_dict(raw.get("train", {}))
     seeds = raw.get("seeds", [0, 1, 2])
@@ -168,10 +175,8 @@ def prepare_datasets(run: RunConfig, seed: int) -> tuple[Dataset, Dataset, Datas
     return train_ds, valid_ds, test_ds, utilities
 
 
-def run_single(run: RunConfig, seed: int, variant: str | None = None,
-               corrupt: tuple[str, float] | None = None,
-               out_dir: Path | None = None,
-               resume: Path | None = None) -> tuple[dict, list[dict]]:
+def run_single(run: RunConfig, seed: int, corrupt: tuple[str, float] | None = None,
+               out_dir: Path | None = None, resume: Path | None = None) -> tuple[dict, list[dict]]:
     """Train one configuration and return (summary, metric history).
 
     ``corrupt=(task, ratio)`` rewrites that task's labels in the training
@@ -188,7 +193,7 @@ def run_single(run: RunConfig, seed: int, variant: str | None = None,
         train_ds = corrupt_labels(train_ds, task, ratio, np.random.default_rng(derived["data"] + 1))
 
     model_cfg = replace(run.model, seed=derived["model"])
-    cfg = replace(run.train, seed=derived["train"], variant=variant or run.train.variant)
+    cfg = replace(run.train, seed=derived["train"])
 
     state = None
     if resume is not None:
@@ -235,17 +240,38 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_resolved_config(out_dir: Path, run: RunConfig, extra: dict | None = None) -> None:
-    _write_json(out_dir / "config.resolved.json", {**asdict(run), **(extra or {})})
+TABLE_METRICS = ("auc_a_student", "multi_auc_a_student", "auc_b_student", "multi_auc_b_student")
 
 
-def _seed_stats(summaries: list[dict], metrics) -> dict[str, float]:
-    """Mean and standard deviation over seeds of each named test metric."""
-    out = {}
-    for m in metrics:
-        arr = np.asarray([s["metrics"][m] for s in summaries], dtype=np.float64)
-        out[f"{m}_mean"], out[f"{m}_std"] = float(arr.mean()), float(arr.std())
-    return out
+def _seed_table(key: str, settings) -> list[dict]:
+    """Train each setting ``(row value, RunConfig, run_single kwargs)`` once per
+    seed of its run and return one row per distinct row value: ``{key,
+    n_seeds}`` and, for each of ``TABLE_METRICS``, its ``_mean`` and ``_std``
+    (``ddof=0``) over the seeds. A repeated row value is run once."""
+    rows = {}
+    for value, run, kwargs in settings:
+        if value in rows:
+            continue
+        metrics = [run_single(run, seed, **kwargs)[0]["metrics"] for seed in run.seeds]
+        row = rows[value] = {key: value, "n_seeds": len(metrics)}
+        for m in TABLE_METRICS:
+            arr = np.asarray([s[m] for s in metrics], dtype=np.float64)
+            row[f"{m}_mean"], row[f"{m}_std"] = float(arr.mean()), float(arr.std())
+    return list(rows.values())
+
+
+def _write_table(out_dir: Path | None, name: str, rows: list[dict], run: RunConfig,
+                 extra: dict | None = None) -> list[dict]:
+    """Write ``rows`` as the CSV ``name`` (floats as their shortest repr) and
+    the resolved config with ``extra`` under ``out_dir``, if given; return ``rows``."""
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            fh.write(",".join(rows[0]) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in rows[0]) + "\n")
+        _write_json(out_dir / "config.resolved.json", {**asdict(run), **(extra or {})})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +291,19 @@ def cmd_gen_data(run: RunConfig, out_dir: Path, seed: int) -> None:
         fh.write("index,u_a,u_b\n")
         for i, (u_a, u_b) in enumerate(utilities.tolist()):  # Python floats, whose repr is the shortest round trip
             fh.write(f"{i},{u_a!r},{u_b!r}\n")
-    _write_resolved_config(out_dir, run, {"seed": seed})
+    _write_json(out_dir / "config.resolved.json", {**asdict(run), "seed": seed})
     log.info("wrote %d samples to %s", len(ds), out_dir / "dataset.csv")
-
-
-_TABLE_METRICS = ("auc_a_student", "multi_auc_a_student", "auc_b_student", "multi_auc_b_student")
 
 
 def cmd_ablate(run: RunConfig, out_dir: Path | None) -> list[dict]:
     """Run the full variant set with shared seeds; report deltas vs crossdistil."""
-    rows = []
-    per_variant: dict[str, list[dict]] = {}
-    for variant in VARIANTS:
-        per_variant[variant] = [run_single(run, seed, variant=variant)[0] for seed in run.seeds]
-    base = {
-        m: float(np.mean([s["metrics"][m] for s in per_variant["crossdistil"]]))
-        for m in _TABLE_METRICS
-    }
-    for variant in VARIANTS:
-        row = {"variant": variant}
-        for m in _TABLE_METRICS:
-            row[m] = float(np.mean([s["metrics"][m] for s in per_variant[variant]]))
-            row[f"delta_{m}"] = row[m] - base[m]
-        rows.append(row)
+    rows = _seed_table("variant", [(v, replace(run, train=replace(run.train, variant=v)), {}) for v in VARIANTS])
+    base = rows[VARIANTS.index("crossdistil")]
+    for row in rows:
+        row.update({f"delta_{m}": row[f"{m}_mean"] - base[f"{m}_mean"] for m in TABLE_METRICS})
+    _write_table(out_dir, "table.csv", rows, run)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "table.csv", rows)
         _write_json(out_dir / "ablate_summary.json", {"rows": rows, "seeds": list(run.seeds)})
-        _write_resolved_config(out_dir, run)
     return rows
 
 
@@ -300,52 +311,29 @@ CORRUPT_TASK = "b"  # the task whose training labels corrupt-sweep corrupts
 
 
 def cmd_corrupt_sweep(run: RunConfig, ratios, out_dir: Path | None) -> list[dict]:
-    """Corrupt task b's training labels at each ratio and retrain.
+    """Corrupt task b's training labels at each ratio and retrain; repeated ratios are dropped.
 
     Corruption touches the training split only; reported metrics are for the
-    task-a student on the untouched test split.
+    students on the untouched test split.
     """
     if not ratios or not all(0.0 <= ratio <= 1.0 for ratio in ratios):
         raise ConfigError(f"corruption ratios must be a nonempty list of values in [0, 1], got {ratios}")
-    rows = []
-    for ratio in ratios:
-        summaries = [run_single(run, seed, corrupt=(CORRUPT_TASK, ratio))[0] for seed in run.seeds]
-        rows.append({"ratio": ratio, "n_seeds": len(run.seeds),
-                     **_seed_stats(summaries, ("auc_a_student", "multi_auc_a_student"))})
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "curve_corruption.csv", rows)
-        _write_resolved_config(out_dir, run, {"ratios": list(ratios), "corrupt_task": CORRUPT_TASK})
-    return rows
+    rows = _seed_table("ratio", [(ratio, run, {"corrupt": (CORRUPT_TASK, ratio)}) for ratio in ratios])
+    return _write_table(out_dir, "curve_corruption.csv", rows, run,
+                        {"ratios": [row["ratio"] for row in rows], "corrupt_task": CORRUPT_TASK})
 
 
 def cmd_sweep(run: RunConfig, param: str, grid, out_dir: Path | None) -> list[dict]:
-    """One training run per grid value (shared seeds); duplicates are dropped."""
+    """One training run per grid value (shared seeds); repeated values are dropped."""
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if not grid:
         raise ConfigError("sweep grid is empty")
-    values = list(dict.fromkeys(grid))
-    hypers = [replace(run.train.hyper, **dict.fromkeys(SWEEP_PARAMS[param], value)) for value in values]
-    rows = []
-    for value, hyper in zip(values, hypers):
-        sub_run = replace(run, train=replace(run.train, hyper=hyper))
-        summaries = [run_single(sub_run, seed)[0] for seed in run.seeds]
-        rows.append({"value": value, "n_seeds": len(run.seeds),
-                     **_seed_stats(summaries, ("multi_auc_a_student", "multi_auc_b_student"))})
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / f"curve_{param}.csv", rows)
-        _write_resolved_config(out_dir, run, {"param": param, "grid": list(values)})
-    return rows
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    header = list(rows[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header) + "\n")
+    hypers = [replace(run.train.hyper, **dict.fromkeys(SWEEP_PARAMS[param], value)) for value in grid]
+    rows = _seed_table("value", [(value, replace(run, train=replace(run.train, hyper=hyper)), {})
+                                 for value, hyper in zip(grid, hypers)])
+    return _write_table(out_dir, f"curve_{param}.csv", rows, run,
+                        {"param": param, "grid": [row["value"] for row in rows]})
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +398,8 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             cmd_gen_data(run, out, seed)
         elif args.command == "train":
-            summary, _ = run_single(run, seed, variant=args.variant, out_dir=out,
-                                    resume=Path(args.resume) if args.resume else None)
+            run = replace(run, train=replace(run.train, variant=args.variant or run.train.variant))
+            summary, _ = run_single(run, seed, out_dir=out, resume=Path(args.resume) if args.resume else None)
             print(json.dumps(summary["metrics"], indent=2, sort_keys=True))
         else:
             if args.command == "ablate":

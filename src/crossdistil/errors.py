@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer, finite and positive checks of config fields."""
+"""Exception types shared across the package, and the object, integer, finite and positive checks of config fields."""
 
 import math
 from numbers import Integral, Real
@@ -24,11 +24,21 @@ class ConfigError(CrossDistilError):
     """A configuration value is outside its allowed range."""
 
 
-def require_ints(config, names) -> None:
-    """Raise naming the first of ``names`` whose value (or any entry of its list) is not an integer."""
-    for name in names:
-        value = getattr(config, name)
-        for v in value if isinstance(value, (tuple, list)) else (value,):
+def require_object(section, where: str) -> dict:
+    """Return ``section`` if it is a dict; else raise naming the config section ``where``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {where} must be a JSON object, got {section!r}")
+    return section
+
+
+def require_ints(config, names, lists=()) -> None:
+    """Raise naming the first of ``names`` whose value is not an integer, or of
+    ``lists`` whose value is not a list (or tuple) of integers."""
+    for name in (*names, *lists):
+        value, listed = getattr(config, name), name in lists
+        if listed != isinstance(value, (tuple, list)):
+            raise ConfigError(f"{name} must be {'a list of integers' if listed else 'an integer'}, got {value!r}")
+        for v in value if listed else (value,):
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
 

@@ -43,7 +43,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("embedding_dim", "hidden_sizes", "tower_hidden", "n_experts", "seed"))
+        require_ints(self, ("embedding_dim", "n_experts", "seed"), lists=("hidden_sizes", "tower_hidden"))
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
         if self.activation != "relu":

@@ -56,7 +56,8 @@ from . import losses as L
 from . import metrics as M
 from . import numgrad as ng
 from .data import PAIRS, QUADS, RANKED, Dataset, LabelPartition, partition, sample
-from .errors import ConfigError, DegenerateLabels, NumericError, TrainingAborted, require_ints, require_positive
+from .errors import (ConfigError, DegenerateLabels, NumericError, TrainingAborted, require_ints, require_object,
+                     require_positive)
 from .losses import CalibrationParams, HyperParams
 from .model import HEADS, TASKS, TEACHERS, ModelConfig, MultiTaskNet
 from .numgrad import Tensor
@@ -108,12 +109,12 @@ class TrainConfig:
     def __post_init__(self):
         require_ints(self, ("batch_size", "steps", "eval_interval", "seed"))
         require_positive(self, ("gamma1", "gamma2"))
-        if self.optimizer not in OPTIMIZERS:
+        if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}")
         for name in ("batch_size", "steps", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.variant not in _WIRING:
+        if not isinstance(self.variant, str) or self.variant not in _WIRING:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
@@ -437,9 +438,8 @@ RNG_STREAMS = ("records", "quads", "pairs")
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config train must be a JSON object, got {d!r}")
-    return TrainConfig(**{**d, "hyper": HyperParams(**d.get("hyper", {}))})
+    hyper = require_object(require_object(d, "train").get("hyper", {}), "train.hyper")
+    return TrainConfig(**{**d, "hyper": HyperParams(**hyper)})
 
 
 def _adams(state: TrainState) -> dict[str, Adam]:

@@ -139,11 +139,15 @@ def test_ablate_gives_the_same_rows_from_a_config_of_any_variant(tmp_path, confi
     assert tables[0] == tables[1]
 
 
-def test_sweep_drops_duplicate_grid_values(tmp_path, config):
+@pytest.mark.parametrize("argv, table, key, kept", [
+    (["sweep", "--param", "beta1", "--grid", "0,0.5,0"], "curve_beta1.csv", "value", ["0.0", "0.5"]),
+    (["corrupt-sweep", "--ratios", "0.1,0.5,0.1"], "curve_corruption.csv", "ratio", ["0.1", "0.5"]),
+], ids=["sweep", "corrupt-sweep"])
+def test_sweep_drops_duplicate_grid_values(tmp_path, config, argv, table, key, kept):
     out = tmp_path / "sweep"
-    assert main(["sweep", "--config", config, "--param", "beta1", "--grid", "0,0.5,0", "--out", str(out)]) == 0
-    with open(out / "curve_beta1.csv", encoding="utf-8") as fh:
-        assert [row["value"] for row in csv.DictReader(fh)] == ["0.0", "0.5"]
+    assert main([argv[0], "--config", config, "--out", str(out), *argv[1:]]) == 0
+    with open(out / table, encoding="utf-8") as fh:
+        assert [row[key] for row in csv.DictReader(fh)] == kept
 
 
 def test_sweep_param_m_is_rejected(config):
@@ -280,18 +284,46 @@ def test_sweeps_check_the_whole_grid_before_the_first_run(config, capsys, monkey
 
 @pytest.mark.parametrize("argv", [
     ["ablate"],
-    ["corrupt-sweep", "--ratios", "0.1"],
-    ["sweep", "--param", "alpha", "--grid", "0.5"],
+    ["corrupt-sweep", "--ratios", "0.1,0.5"],
+    ["sweep", "--param", "alpha", "--grid", "0.5,1"],
 ])
-def test_seed_overrides_the_first_config_seed_of_every_command(tmp_path, monkeypatch, argv):
-    seeds = []
-    summary = {"metrics": dict.fromkeys(("auc_a_student", "multi_auc_a_student",
-                                         "auc_b_student", "multi_auc_b_student"), 0.5)}
-    monkeypatch.setattr(cli, "run_single", lambda run, seed, **kwargs: seeds.append(seed) or (summary, []))
+def test_seed_overrides_the_first_config_seed_of_every_command(tmp_path, capsys, monkeypatch, argv):
+    """``--seed`` replaces the first config seed, and every table command writes
+    one schema: each row's mean and std over its seeds' metrics, and for
+    ``ablate`` each mean's delta to the ``crossdistil`` row."""
+    runs = []  # (seed, metrics) of each run, in order
+
+    def run_single(run, seed, **kwargs):
+        runs.append((seed, {m: 1 / (len(runs) + i + 2) for i, m in enumerate(cli.TABLE_METRICS)}))
+        return {"metrics": runs[-1][1]}, []
+
+    monkeypatch.setattr(cli, "run_single", run_single)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**CONFIG, "seeds": [0, 1]}), encoding="utf-8")
-    assert main([argv[0], "--config", str(path), "--seed", "5", *argv[1:]]) == 0
-    assert seeds[:2] == [5, 1] and set(seeds) == {5, 1}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], "--config", str(path), "--seed", "5", "--out", str(out), *argv[1:]]) == 0
+    assert [seed for seed, _ in runs] == [5, 1] * (len(runs) // 2)
+
+    key = {"ablate": "variant", "corrupt-sweep": "ratio", "sweep": "value"}[argv[0]]
+    columns = [key, "n_seeds", *(f"{m}_{stat}" for m in cli.TABLE_METRICS for stat in ("mean", "std"))]
+    if argv[0] == "ablate":
+        columns += [f"delta_{m}" for m in cli.TABLE_METRICS]
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (table,) = out.glob("*.csv")
+    with open(table, encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = [{k: v if k == key else float(v) for k, v in row.items()} for row in reader]
+    assert reader.fieldnames == columns and all(list(row) == columns for row in rows)
+    assert all(set(row) == set(columns) for row in printed) and len(printed) == len(rows) == len(runs) // 2
+    for i, row in enumerate(rows):
+        assert row["n_seeds"] == 2
+        for m in cli.TABLE_METRICS:
+            values = [metrics[m] for _, metrics in runs[2 * i:2 * i + 2]]
+            assert row[f"{m}_mean"] == printed[i][f"{m}_mean"] == np.mean(values)
+            assert row[f"{m}_std"] == printed[i][f"{m}_std"] == np.std(values)
+            if argv[0] == "ablate":
+                assert row[f"delta_{m}"] == row[f"{m}_mean"] - rows[VARIANTS.index("crossdistil")][f"{m}_mean"]
 
 
 def test_gen_data_utilities_read_back_bit_for_bit(tmp_path, config):
@@ -331,6 +363,26 @@ def test_diverging_run_exits_2_naming_the_step_and_op(tmp_path, capsys):
     assert "Warning" not in err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [
         "error: step 1: non-finite output in op 'linear'"]
+
+
+@pytest.mark.parametrize("section, value, needle", [
+    ("train", {"optimizer": ["sgd"]}, "optimizer must be sgd or adam"),
+    ("train", {"variant": ["x"]}, "variant must be one of"),
+    ("train", {"steps": [3]}, "steps must be an integer"),
+    ("train", {"hyper": [1]}, "config train.hyper must be a JSON object"),
+    ("model", [1], "config model must be a JSON object"),
+    ("model", {"hidden_sizes": 3}, "hidden_sizes must be a list of integers"),
+    ("model", {"tower_hidden": 2}, "tower_hidden must be a list of integers"),
+    ("data", {"synthetic": [1]}, "config data.synthetic must be a JSON object"),
+])
+def test_config_field_of_the_wrong_type_exits_2_at_load_naming_it(tmp_path, capsys, monkeypatch, section, value,
+                                                                   needle):
+    section_value = {**CONFIG[section], **value} if isinstance(value, dict) else value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, section: section_value}), encoding="utf-8")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", str(path)]) == 2
+    assert_one_line_error(capsys, needle)
 
 
 def test_nan_hyperparameter_exits_2_at_load(tmp_path, capsys, monkeypatch):

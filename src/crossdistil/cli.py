@@ -18,9 +18,10 @@ once per row and write one table (``table.csv``, ``curve_corruption.csv``,
 ``curve_<param>.csv``) with the columns ``variant``, ``ratio`` or ``value``,
 then ``n_seeds``, then ``<m>_mean`` and ``<m>_std`` (``ddof=0``) over the
 seeds for each ``m`` of ``auc_a_student``, ``multi_auc_a_student``,
-``auc_b_student`` and ``multi_auc_b_student``. A repeated ratio or grid
-value is run once. ``ablate`` adds ``delta_<m>``, a row's mean minus the
-``crossdistil`` row's, and also writes ``ablate_summary.json``.
+``auc_b_student`` and ``multi_auc_b_student``. A repeated seed (after
+``--seed`` replaces the first), ratio or grid value is run once. ``ablate``
+adds ``delta_<m>``, a row's mean minus the ``crossdistil`` row's, and also
+writes ``ablate_summary.json``.
 
 The config file is JSON with sections ``data`` (either ``{"path": ...}`` or
 ``{"synthetic": {...}}``), ``split`` (``{"fractions": [0.8, 0.1, 0.1]}`` or,
@@ -394,6 +395,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
             run = replace(run, seeds=(args.seed, *run.seeds[1:]))
+        run = replace(run, seeds=tuple(dict.fromkeys(run.seeds)))  # a repeated seed would train the same run twice
         seed = run.seeds[0]
         if args.command == "gen-data":
             cmd_gen_data(run, out, seed)

@@ -1,11 +1,11 @@
 """Ranking and calibration metrics: AUC, prevalence-weighted multi-class AUC,
 log loss, and the 4-class ordering of label combinations per task.
 
-All functions are pure and operate on plain numpy arrays. ``auc`` and
-``multi_auc`` sort the scores once per call and read the win and tie count of
-every class pair from that one sort, as exact integers, so they equal
-brute-force pair enumeration bit for bit. A NaN score makes either raise
-``ConfigError``.
+All functions are pure and operate on plain numpy arrays. ``auc``,
+``multi_auc`` and ``task_aucs`` sort the scores once per call and read the
+win and tie count of every class pair from that one sort, as exact
+integers, so they equal brute-force pair enumeration bit for bit. A NaN
+score makes any of them raise ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -83,30 +83,23 @@ def auc(scores, labels) -> float:
     return _pair_auc(wins[1, 0], ties[1, 0], n_pos, n_neg)
 
 
-def multi_auc(scores, classes, n_classes: int) -> float:
-    """Multipartite ranking quality over ordered classes 0 < 1 < ... < c-1.
-
-    Prevalence-weighted average of the one-vs-one AUCs: each class pair
-    (j, k), j < k, contributes AUC(k positive, j negative) with weight
-    (n_j + n_k) / N, normalized by the total weight of the evaluated pairs.
-    Pairs touching an empty class are skipped. With two classes this reduces
-    to plain AUC exactly (the single pair has weight 1). Every pair AUC is
-    read from one count table (``_pair_counts``); a NaN score raises
-    ``ConfigError``.
-    """
+def _check_classes(metric: str, scores, classes, n_classes: int):
+    """Scores and class ids as flat arrays, and the row count of each class."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     c = np.asarray(classes, dtype=np.int64).ravel()
     if s.shape != c.shape:
-        raise ConfigError(f"multi_auc: {s.shape[0]} scores vs {c.shape[0]} classes")
+        raise ConfigError(f"{metric}: {s.shape[0]} scores vs {c.shape[0]} classes")
     if n_classes < 2:
-        raise ConfigError(f"multi_auc: need at least 2 classes, got {n_classes}")
+        raise ConfigError(f"{metric}: need at least 2 classes, got {n_classes}")
     if c.size and (c.min() < 0 or c.max() >= n_classes):
-        raise ConfigError(f"multi_auc: class ids outside [0, {n_classes})")
-    counts = np.bincount(c, minlength=n_classes)
-    if (counts > 0).sum() < 2:
-        raise UndefinedMetricError("multi_auc needs at least two nonempty classes")
-    wins, ties = _pair_counts("multi_auc", s, c, n_classes)
-    total = c.size
+        raise ConfigError(f"{metric}: class ids outside [0, {n_classes})")
+    return s, c, np.bincount(c, minlength=n_classes)
+
+
+def _weighted_pair_aucs(wins, ties, counts) -> float:
+    """``multi_auc`` from the pair counts and class sizes."""
+    n_classes = len(counts)
+    total = counts.sum()
     acc = 0.0
     weight_sum = 0.0
     for j in range(n_classes):
@@ -120,6 +113,40 @@ def multi_auc(scores, classes, n_classes: int) -> float:
             acc += w * pair_auc
             weight_sum += w
     return float(acc / weight_sum)
+
+
+def multi_auc(scores, classes, n_classes: int) -> float:
+    """Multipartite ranking quality over ordered classes 0 < 1 < ... < c-1.
+
+    Prevalence-weighted average of the one-vs-one AUCs: each class pair
+    (j, k), j < k, contributes AUC(k positive, j negative) with weight
+    (n_j + n_k) / N, normalized by the total weight of the evaluated pairs.
+    Pairs touching an empty class are skipped. With two classes this reduces
+    to plain AUC exactly (the single pair has weight 1). Every pair AUC is
+    read from one count table (``_pair_counts``); a NaN score raises
+    ``ConfigError``.
+    """
+    s, c, counts = _check_classes("multi_auc", scores, classes, n_classes)
+    if (counts > 0).sum() < 2:
+        raise UndefinedMetricError("multi_auc needs at least two nonempty classes")
+    return _weighted_pair_aucs(*_pair_counts("multi_auc", s, c, n_classes), counts)
+
+
+def task_aucs(scores, classes) -> tuple[float, float]:
+    """``auc`` and ``multi_auc`` of one task's scores from one count table.
+
+    ``classes`` are ``class_of``'s four classes, whose upper two are the
+    task's positives. So the binary pair counts are sums of the 4-class
+    counts of (class 2 or 3, class 0 or 1) pairs. They are exact integers,
+    so the pair equals ``(auc(scores, classes >= 2), multi_auc(scores,
+    classes, 4))`` bit for bit.
+    """
+    s, c, counts = _check_classes("task_aucs", scores, classes, 4)
+    n_pos, n_neg = int(counts[2:].sum()), int(counts[:2].sum())
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("auc needs at least one positive and one negative")
+    wins, ties = _pair_counts("task_aucs", s, c, 4)
+    return _pair_auc(wins[2:, :2].sum(), ties[2:, :2].sum(), n_pos, n_neg), _weighted_pair_aucs(wins, ties, counts)
 
 
 def logloss(labels, probabilities) -> float:

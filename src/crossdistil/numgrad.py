@@ -283,7 +283,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     out = xv @ wv
     out += b.values
     if relu:
-        mask = out > 0
+        mask = out > 0 if _recording() else None  # only backward reads it
         np.maximum(out, 0, out=out)
 
     def bwd(g):
@@ -342,7 +342,7 @@ def _gather(tables, index_cols, op: str) -> Tensor:
     def bwd(g):
         return tuple(RowGrad(idx, part) for idx, part in zip(idxs, np.split(g, splits, axis=1)))
 
-    values = np.concatenate([t.values[idx] for t, idx in zip(tables, idxs)], axis=1)
+    values = np.concatenate([np.take(t.values, idx, axis=0) for t, idx in zip(tables, idxs)], axis=1)
     return _make(values, op, tuple(tables), bwd)
 
 

@@ -36,6 +36,13 @@ three independent RNG streams (records, quadruplets, pairs) spawned from
 the seed, so variants that skip a sampler still see the same record batches
 step for step.
 
+``evaluate`` forwards the rows without a tape in chunks of 4096 rows, one
+after another on the calling thread. The chunk boundaries are fixed: BLAS
+may sum a larger block in another order, so chunks of 8192 rows or more
+change the logits. A helper thread that forwarded every other chunk sped
+evaluation up only while the host's other core was idle, so on a shared
+host its time swung from one run to the next.
+
 A checkpoint is one uncompressed ``.npz``: every float64 array of the state
 under its own name, plus a JSON ``header`` member with everything else (see
 ``save_checkpoint``). Floats round-trip bit for bit. Only this module knows
@@ -374,10 +381,9 @@ def evaluate(net: MultiTaskNet, calibration: CalibrationParams, ds: Dataset) -> 
         classes = M.class_of(ds.y_a, ds.y_b, task)
         student = scores[task]
         teacher = scores[f"{task}_plus"]
-        out[f"auc_{task}_student"] = M.auc(student, y)
-        out[f"auc_{task}_teacher"] = M.auc(teacher, y)
-        out[f"multi_auc_{task}_student"] = M.multi_auc(student, classes, 4)
-        out[f"multi_auc_{task}_teacher"] = M.multi_auc(teacher, classes, 4)
+        (auc_s, multi_s), (auc_t, multi_t) = M.task_aucs(student, classes), M.task_aucs(teacher, classes)
+        out[f"auc_{task}_student"], out[f"auc_{task}_teacher"] = auc_s, auc_t
+        out[f"multi_auc_{task}_student"], out[f"multi_auc_{task}_teacher"] = multi_s, multi_t
         out[f"logloss_{task}_student"] = M.logloss(y, ng.sigmoid_values(student))
         out[f"logloss_{task}_teacher_raw"] = M.logloss(y, ng.sigmoid_values(teacher))
         out[f"logloss_{task}_teacher_cal"] = M.logloss(

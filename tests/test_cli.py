@@ -288,9 +288,10 @@ def test_sweeps_check_the_whole_grid_before_the_first_run(config, capsys, monkey
     ["sweep", "--param", "alpha", "--grid", "0.5,1"],
 ])
 def test_seed_overrides_the_first_config_seed_of_every_command(tmp_path, capsys, monkeypatch, argv):
-    """``--seed`` replaces the first config seed, and every table command writes
-    one schema: each row's mean and std over its seeds' metrics, and for
-    ``ablate`` each mean's delta to the ``crossdistil`` row."""
+    """``--seed`` replaces the first config seed, a repeated seed trains once,
+    and every table command writes one schema: each row's mean and std over
+    its seeds' metrics, and for ``ablate`` each mean's delta to the
+    ``crossdistil`` row. The resolved config records the seeds kept."""
     runs = []  # (seed, metrics) of each run, in order
 
     def run_single(run, seed, **kwargs):
@@ -298,32 +299,37 @@ def test_seed_overrides_the_first_config_seed_of_every_command(tmp_path, capsys,
         return {"metrics": runs[-1][1]}, []
 
     monkeypatch.setattr(cli, "run_single", run_single)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**CONFIG, "seeds": [0, 1]}), encoding="utf-8")
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert main([argv[0], "--config", str(path), "--seed", "5", "--out", str(out), *argv[1:]]) == 0
-    assert [seed for seed, _ in runs] == [5, 1] * (len(runs) // 2)
-
     key = {"ablate": "variant", "corrupt-sweep": "ratio", "sweep": "value"}[argv[0]]
     columns = [key, "n_seeds", *(f"{m}_{stat}" for m in cli.TABLE_METRICS for stat in ("mean", "std"))]
     if argv[0] == "ablate":
         columns += [f"delta_{m}" for m in cli.TABLE_METRICS]
-    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    (table,) = out.glob("*.csv")
-    with open(table, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = [{k: v if k == key else float(v) for k, v in row.items()} for row in reader]
-    assert reader.fieldnames == columns and all(list(row) == columns for row in rows)
-    assert all(set(row) == set(columns) for row in printed) and len(printed) == len(rows) == len(runs) // 2
-    for i, row in enumerate(rows):
-        assert row["n_seeds"] == 2
-        for m in cli.TABLE_METRICS:
-            values = [metrics[m] for _, metrics in runs[2 * i:2 * i + 2]]
-            assert row[f"{m}_mean"] == printed[i][f"{m}_mean"] == np.mean(values)
-            assert row[f"{m}_std"] == printed[i][f"{m}_std"] == np.std(values)
-            if argv[0] == "ablate":
-                assert row[f"delta_{m}"] == row[f"{m}_mean"] - rows[VARIANTS.index("crossdistil")][f"{m}_mean"]
+    cases = [([0, 1], ["--seed", "5"], [5, 1]), ([0, 0], [], [0]), ([0, 1, 2], ["--seed", "1"], [1, 2])]
+    for case, (seeds, flag, kept) in enumerate(cases):  # (config seeds, flag, seeds trained)
+        runs.clear()
+        path = tmp_path / f"cfg{case}.json"
+        path.write_text(json.dumps({**CONFIG, "seeds": seeds}), encoding="utf-8")
+        out = tmp_path / f"out{case}"
+        capsys.readouterr()
+        assert main([argv[0], "--config", str(path), *flag, "--out", str(out), *argv[1:]]) == 0
+        n = len(kept)
+        assert [seed for seed, _ in runs] == kept * (len(runs) // n)
+        assert json.loads((out / "config.resolved.json").read_text(encoding="utf-8"))["seeds"] == kept
+
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        (table,) = out.glob("*.csv")
+        with open(table, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = [{k: v if k == key else float(v) for k, v in row.items()} for row in reader]
+        assert reader.fieldnames == columns and all(list(row) == columns for row in rows)
+        assert all(set(row) == set(columns) for row in printed) and len(printed) == len(rows) == len(runs) // n
+        for i, row in enumerate(rows):
+            assert row["n_seeds"] == n
+            for m in cli.TABLE_METRICS:
+                values = [metrics[m] for _, metrics in runs[n * i:n * i + n]]
+                assert row[f"{m}_mean"] == printed[i][f"{m}_mean"] == np.mean(values)
+                assert row[f"{m}_std"] == printed[i][f"{m}_std"] == np.std(values)
+                if argv[0] == "ablate":
+                    assert row[f"delta_{m}"] == row[f"{m}_mean"] - rows[VARIANTS.index("crossdistil")][f"{m}_mean"]
 
 
 def test_gen_data_utilities_read_back_bit_for_bit(tmp_path, config):

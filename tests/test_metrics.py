@@ -83,6 +83,19 @@ class TestExact:
         else:
             assert multi_auc(scores, classes, n_classes) == brute_force_multi_auc(scores, classes, n_classes)
 
+    @settings(deadline=None)
+    @given(tied_rows(st.tuples(st.integers(0, 1), st.integers(0, 1))), st.sampled_from(["a", "b"]))
+    def test_task_aucs_equal_auc_and_multi_auc(self, rows, task):
+        scores, pairs = rows
+        y_a, y_b = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+        classes = class_of(y_a, y_b, task)
+        y = y_a if task == "a" else y_b
+        if not ({0, 1} <= set(y.tolist())):
+            with pytest.raises(UndefinedMetricError, match="^auc "):
+                metrics.task_aucs(scores, classes)
+        else:
+            assert metrics.task_aucs(scores, classes) == (auc(scores, y), multi_auc(scores, classes, 4))
+
     def test_int64_counts_equal_float64_counts(self, monkeypatch, rng):
         scores = rng.choice([-np.inf, -0.0, 0.0, 0.5, np.inf], size=300)
         classes = rng.integers(0, 4, size=300)
@@ -90,6 +103,7 @@ class TestExact:
         expected = (auc(scores, labels), multi_auc(scores, classes, 4))
         monkeypatch.setattr(metrics, "EXACT_FLOAT_ROWS", 0)
         assert (auc(scores, labels), multi_auc(scores, classes, 4)) == expected
+        assert metrics.task_aucs(scores, classes) == (auc(scores, classes >= 2), expected[1])
         assert expected == (brute_force_auc(scores, labels), brute_force_multi_auc(scores, classes, 4))
 
 

@@ -163,6 +163,8 @@ class TestFusedOpsMatchTheirChains:
 
         fused = self.run(lambda: ng.linear(x, w, b, relu=relu), (x, w, b))
         assert fused == self.run(chain, (x, w, b))
+        with ng.no_grad():
+            assert ng.linear(x, w, b, relu=relu).values.tobytes() == fused[0]
         if relu:
             assert 0.0 in np.frombuffer(fused[0])
 

@@ -7,6 +7,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -460,3 +461,59 @@ def test_each_variant_draws_its_row_sets(datasets, variant):
     else:
         assert list(batch) == ["records", *QUADS, *pairs]
     assert all(rows.shape == (8,) for rows in batch.values())
+
+
+# evaluation forwards in chunks of this many rows in these tests, so the 200-row eval split is 4 chunks
+CHUNK = 64
+
+
+def _eval_net(eval_ds, backbone) -> MultiTaskNet:
+    assert len(eval_ds) > 2 * CHUNK
+    return MultiTaskNet(ModelConfig(backbone=backbone, **MODEL), eval_ds.vocab_sizes, eval_ds.field_names)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_chunked_forward_equals_a_forward_per_chunk(datasets, backbone):
+    eval_ds = datasets[1]
+    net = _eval_net(eval_ds, backbone)
+    with ng.no_grad():
+        chunks = [net.forward(eval_ds.field_ids[start:start + CHUNK]) for start in range(0, len(eval_ds), CHUNK)]
+    scores = T._forward_values(net, eval_ds, CHUNK)
+    for head in HEADS:
+        assert scores[head].tobytes() == np.concatenate([c[head].values[:, 0] for c in chunks]).tobytes(), head
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_evaluate_records_no_tape(datasets, monkeypatch, backbone):
+    eval_ds = datasets[1]
+    net = _eval_net(eval_ds, backbone)
+    made = []  # requires_grad of every tensor an op makes
+    make = ng._make
+
+    def spy(*args, **kwargs):
+        out = make(*args, **kwargs)
+        made.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ng, "_make", spy)
+    monkeypatch.setattr(T, "_forward_values", partial(T._forward_values, chunk=CHUNK))
+    T.evaluate(net, CalibrationParams(), eval_ds)
+    assert made and not any(made)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+@pytest.mark.parametrize("poisoned, op", [("last_chunk_rows", "gather_cols"), ("tower", "linear")])
+def test_a_non_finite_forward_raises_naming_the_op(datasets, backbone, poisoned, op):
+    """A NaN embedding row that only the last chunk reads, or a non-finite tower weight."""
+    eval_ds = datasets[1]
+    net = _eval_net(eval_ds, backbone)
+    ids = np.array(eval_ds.field_ids)
+    ids[:, 0] = np.arange(len(eval_ds)) // CHUNK == (len(eval_ds) - 1) // CHUNK  # id 1 of the first field in the last chunk only
+    eval_ds = Dataset(eval_ds.field_names, eval_ds.vocab_sizes, ids, eval_ds.y_a, eval_ds.y_b)
+    if poisoned == "last_chunk_rows":
+        net.embeddings[0].values[1, 0] = np.nan
+    else:
+        net.towers["a"][0][0].values[0, 0] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(NumericError, match=f"^non-finite output in op '{op}'$"):
+        T._forward_values(net, eval_ds, CHUNK)

@@ -43,17 +43,24 @@ change the logits. A helper thread that forwarded every other chunk sped
 evaluation up only while the host's other core was idle, so on a shared
 host its time swung from one run to the next.
 
-A checkpoint is one uncompressed ``.npz``: every float64 array of the state
-under its own name, plus a JSON ``header`` member with everything else (see
-``save_checkpoint``). Floats round-trip bit for bit. Only this module knows
-the format.
+A checkpoint is one uncompressed ``.npz`` of version 3: every float64 array
+of the state under its own name, plus a JSON ``header`` member with
+everything else (see ``save_checkpoint``). Ids that no batch has drawn leave
+all-zero rows in the Adam moments of their tables, so a moment pair keeps
+only its rows that hold a nonzero byte, with one int64 ``<part>.rows.<name>``
+member listing them, wherever that makes the file smaller: when 16 B per
+column of each left-out row exceed 8 B per kept row plus ``MEMBER_BYTES``.
+A version-2 file, which has no rows members, loads through the same code.
+Floats round-trip bit for bit. Only this module knows the format.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
+import os
 import zipfile
 from dataclasses import asdict, dataclass, field
 
@@ -152,12 +159,16 @@ class Sgd:
             p.values[rows] -= self.lr * g
 
 
+ADAM_BLOCK = 1 << 16  # elements per block of Adam's update; blocks of 32k to 128k elements ran equally fast
+
+
 class Adam:
     """Adam with bias correction; weight decay is classic L2 added to the grad.
 
     Both moments decay over the whole table every step, but without weight
     decay the gradient terms are added on the recorded ``grad_rows`` only, and
-    the update runs in place with two table-sized temporaries. Parameters and
+    the update runs in place over blocks of rows, with two temporaries of at
+    most ``ADAM_BLOCK`` elements (or one row, if wider) each. Parameters and
     ``v`` get the dense step's bits; ``m`` gets its numbers, except that a
     moment decayed to -0.0 keeps its sign where adding a zero gradient would
     make it +0.0. Weight decay gives every row a gradient, so it stays dense.
@@ -192,14 +203,18 @@ class Adam:
             v[rows] += (1.0 - self.beta2) * g * g
             if not np.isfinite(v[rows]).all():  # an inf v would freeze the entry: its updates become m / inf = 0
                 raise NumericError(f"non-finite Adam second moment of parameter '{name}'")
-            # lr * (m / c1) / (sqrt(v / c2) + eps) in place, in that expression's order, for its bits
-            step = m / c1
-            step *= self.lr
-            denom = v / c2
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
-            p.values -= step
+            # lr * (m / c1) / (sqrt(v / c2) + eps) in place, in that expression's order, for its bits;
+            # elementwise, so blocks of rows give the same bits with cache-sized temporaries
+            block = max(1, ADAM_BLOCK // m.shape[1])
+            for start in range(0, len(m), block):
+                r = slice(start, start + block)
+                step = m[r] / c1
+                step *= self.lr
+                denom = v[r] / c2
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                step /= denom
+                p.values[r] -= step
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
@@ -438,9 +453,13 @@ def train(train_ds: Dataset, eval_ds: Dataset, model_cfg: ModelConfig, cfg: Trai
 # checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+READABLE_VERSIONS = (2, 3)  # version 2 has no rows members; the same code reads it
 HEADER = "header"  # the npz member holding the JSON header; array names all contain a dot
 RNG_STREAMS = ("records", "quads", "pairs")
+# what one more npz member costs besides its data: its zip and npy headers come to
+# 232 B plus twice its name's length, and a rows member's name runs to about 35 characters
+MEMBER_BYTES = 300
 
 
 def config_from_dict(d: dict) -> TrainConfig:
@@ -463,17 +482,50 @@ def _state_arrays(state: TrainState) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _moment_pairs(state: TrainState) -> dict[str, tuple[str, str]]:
+    """The rows member of each Adam moment pair, to the names of its ``m`` and ``v``."""
+    return {f"{part}.rows.{name}": (f"{part}.m.{name}", f"{part}.v.{name}")
+            for part, opt in _adams(state).items() for name in opt.m}
+
+
+def _kept_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """The rows of a moment pair that hold a nonzero byte (a -0.0 counts), or
+    None when leaving the other rows out would not make the file smaller."""
+    nonzero = (m.view(np.int64) != 0) | (v.view(np.int64) != 0)
+    kept = np.flatnonzero(nonzero @ np.ones(m.shape[1], bool))  # any() by row; on short rows a bool matmul is faster
+    left_out = 16 * m.shape[1] * (len(m) - len(kept))
+    return kept if left_out > 8 * len(kept) + MEMBER_BYTES else None
+
+
+def _saved_rows(name: str, rows: np.ndarray, n: int) -> np.ndarray:
+    """A saved rows member, checked against a table of ``n`` rows."""
+    if rows.dtype != np.int64 or rows.ndim != 1:
+        raise ConfigError(f"array {name} has dtype {rows.dtype} and shape {rows.shape}, rows need 1-D int64")
+    if (np.diff(rows) <= 0).any():
+        raise ConfigError(f"array {name} does not list rows in increasing order")
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+        raise ConfigError(f"array {name} lists a row outside [0, {n})")
+    return rows
+
+
 def save_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
     """Write the full training state to exactly ``path`` as one uncompressed npz.
 
     Arrays are stored as raw float64 bytes: the net and Platt parameters
     under their ``named_parameters()`` names (``emb.user``, ``tower.a.0.w``,
     ``cal.rho_a``, ...) and each Adam moment as ``opt_model.m.<name>``,
-    ``opt_calibration.v.<name>`` and so on. The ``header`` member is a JSON
-    string with ``version``, ``step``, ``train_config``, ``model_config``,
-    ``vocab_sizes``, ``field_names``, ``adam_t`` (each Adam's step count)
-    and ``rng`` (the three bit-generator states). Arrays and the JSON floats
-    (shortest repr) both round-trip bit for bit.
+    ``opt_calibration.v.<name>`` and so on. A moment pair whose all-zero rows
+    outweigh a rows member (16 B per column of each such row against 8 B per
+    kept row and ``MEMBER_BYTES``) keeps only its other rows, listed in
+    increasing order by the int64 member ``<part>.rows.<name>``. The
+    ``header`` member is a JSON string with ``version``, ``step``,
+    ``train_config``, ``model_config``, ``vocab_sizes``, ``field_names``,
+    ``adam_t`` (each Adam's step count) and ``rng`` (the three bit-generator
+    states). Arrays and the JSON floats (shortest repr) both round-trip bit
+    for bit.
+
+    The file is written beside ``path`` and then renamed onto it, so a save
+    that fails leaves any checkpoint already at ``path`` as it was.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -487,32 +539,51 @@ def save_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
     }
     text = io.StringIO()
     json.dump(header, text)  # dump/load, not dumps/loads: bench/layertrace.py times these
-    with open(path, "wb") as fh:  # a file object, so numpy appends no ".npz" to the path
-        np.savez(fh, **{HEADER: np.array(text.getvalue())}, **_state_arrays(state))
+    arrays = _state_arrays(state)
+    for rows_name, pair in _moment_pairs(state).items():
+        if (rows := _kept_rows(*(arrays[name] for name in pair))) is not None:
+            arrays[rows_name] = rows
+            arrays.update({name: np.take(arrays[name], rows, axis=0) for name in pair})
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:  # a file object, so numpy appends no ".npz" to the path
+            np.savez(fh, **{HEADER: np.array(text.getvalue())}, **arrays)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
-    """Rebuild the state as ``init_state`` does, then copy each saved array in by name."""
+    """Rebuild the state as ``init_state`` does, then copy each saved array in
+    by name; a compacted moment pair is scattered into its saved rows of the
+    zero moments the rebuild made. Reads versions 2 and 3."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as saved:
             header = json.load(io.StringIO(str(saved[HEADER])))
             if not isinstance(header, dict):
                 raise ValueError(f"the header {json.dumps(header)[:40]} is not a JSON object")
-            if header.get("version") != CHECKPOINT_VERSION:
+            if header.get("version") not in READABLE_VERSIONS:
                 raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
             cfg = config_from_dict(header["train_config"])
             state = _build_state(ModelConfig(**header["model_config"]), header["vocab_sizes"],
                                  header["field_names"], cfg)
             arrays = _state_arrays(state)
-            if diff := sorted(set(saved.files) ^ {HEADER, *arrays}):
+            pairs = {rows_name: pair for rows_name, pair in _moment_pairs(state).items() if rows_name in saved.files}
+            if diff := sorted(set(saved.files) ^ {HEADER, *arrays, *pairs}):
                 raise ConfigError(f"checkpoint and model arrays differ in {diff[:3]}")
+            rows_of = {}
+            for rows_name, pair in pairs.items():
+                rows_of.update(dict.fromkeys(pair, _saved_rows(rows_name, saved[rows_name], len(arrays[pair[0]]))))
             for name, dst in arrays.items():
                 src = saved[name]
-                if src.shape != dst.shape:
-                    raise ConfigError(f"array {name} has shape {src.shape}, the model needs {dst.shape}")
+                rows = rows_of.get(name, slice(None))
+                need = (len(rows), *dst.shape[1:]) if name in rows_of else dst.shape
+                if src.shape != need:
+                    raise ConfigError(f"array {name} has shape {src.shape}, the model needs {need}")
                 if src.dtype != np.float64:  # a cast would change the bits that resume must keep
                     raise ConfigError(f"array {name} has dtype {src.dtype}, the model needs float64")
-                dst[...] = src
+                dst[rows] = src
             for part, opt in _adams(state).items():
                 opt.t = header["adam_t"][part]
             for key in RNG_STREAMS:
@@ -522,5 +593,6 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
             if bad := {name: n for name, n in counts.items() if type(n) is not int or n < 0}:  # type() rejects a bool
                 raise ValueError(f"step counts must be nonnegative integers, got {bad}")
     except (ConfigError, OSError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
-        raise ConfigError(f"cannot read {path} as a version-{CHECKPOINT_VERSION} checkpoint: {e}") from None
+        versions = " or ".join(map(str, READABLE_VERSIONS))
+        raise ConfigError(f"cannot read {path} as a checkpoint of version {versions}: {e}") from None
     return state, cfg

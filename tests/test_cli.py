@@ -100,7 +100,7 @@ def test_resume_rejects_unreadable_checkpoints(tmp_path, config, capsys):
     for ckpt in (tmp_path / "missing.ckpt", tmp_path / "cfg.json", v1, listed, *says):
         capsys.readouterr()
         assert main(["train", "--config", config, "--resume", str(ckpt)]) == 2, ckpt
-        assert_one_line_error(capsys, f"cannot read {ckpt} as a version-2 checkpoint", says.get(ckpt, ""))
+        assert_one_line_error(capsys, f"cannot read {ckpt} as a checkpoint of version 2 or 3", says.get(ckpt, ""))
 
 
 def test_resume_rejects_a_checkpoint_of_other_data(tmp_path, config, capsys):

@@ -71,18 +71,25 @@ def test_checkpoint_roundtrip_bit_exact(datasets, tmp_path, backbone, optimizer)
         assert before[head].values.tobytes() == after[head].values.tobytes(), head
 
 
-DAMAGE = {  # how a checkpoint member is damaged -> (the member, what the error says)
-    "drop": ("opt_model.v.tower.b.0.w", "differ in"),
-    "reshape": ("emb.user", "has shape"),
+USER_ROWS = "opt_model.rows.emb.user"  # saved compact by saved_members: its step reads at most 16 of 30 users
+DAMAGE = {  # how a checkpoint member is damaged -> (the member, the damage, what the error says)
+    "drop": ("opt_model.v.tower.b.0.w", lambda a: None, "differ in"),
+    "reshape": ("emb.user", lambda a: a[:-1], "has shape"),
     # a cast on load would break exact resume: float32 turns 0.1 into 0.10000000149011612
-    "float32": ("tower.a.0.w", "has dtype float32"),
-    "int64": ("opt_model.m.emb.item", "has dtype int64"),
+    "float32": ("tower.a.0.w", lambda a: a.astype("float32"), "has dtype float32"),
+    "int64": ("opt_model.m.emb.item", lambda a: a.astype("int64"), "has dtype int64"),
+    "rows_float": (USER_ROWS, lambda a: a.astype("float64"), "has dtype float64"),
+    "rows_unsorted": (USER_ROWS, lambda a: a[::-1], "does not list rows in increasing order"),
+    "rows_repeated": (USER_ROWS, lambda a: np.r_[a[:1], a[:-1]], "does not list rows in increasing order"),
+    "rows_out_of_range": (USER_ROWS, lambda a: np.r_[a[:-1], 30], "lists a row outside [0, 30)"),
+    "rows_fewer_than_v": ("opt_model.v.emb.user", lambda a: a[:-1], "has shape"),
+    "rows_without_a_slot": ("opt_model.rows.cal.rho_a", lambda a: np.arange(1), "differ in"),
 }
 
 
 def saved_members(datasets, path) -> dict[str, np.ndarray]:
-    """Train one Adam step, checkpoint it to ``path`` and return the npz members."""
-    cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=1, seed=8)
+    """Train one Adam step of ``backbone``, checkpoint it to ``path`` and return the npz members."""
+    cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=1, seed=8, variant="backbone")
     T.save_checkpoint(path, T.train(*datasets, ModelConfig(**MODEL), cfg)[0], cfg)
     with np.load(path) as z:
         return dict(z)
@@ -92,13 +99,9 @@ def saved_members(datasets, path) -> dict[str, np.ndarray]:
 def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage):
     path = tmp_path / "run.ckpt"
     arrays = saved_members(datasets, path)
-    member, says = DAMAGE[damage]
-    if damage == "drop":
-        del arrays[member]
-    elif damage == "reshape":
-        arrays[member] = arrays[member][:-1]
-    else:
-        arrays[member] = arrays[member].astype(damage)
+    member, damaged, says = DAMAGE[damage]
+    if (array := damaged(arrays.pop(member, None))) is not None:
+        arrays[member] = array
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ConfigError, match=re.escape(member)) as exc:
@@ -127,9 +130,69 @@ def test_checkpoint_with_a_damaged_header_is_rejected(datasets, tmp_path, header
     members[T.HEADER] = np.array(header)
     with open(path, "wb") as fh:
         np.savez(fh, **members)
-    with pytest.raises(ConfigError, match="as a version-2 checkpoint") as exc:
+    with pytest.raises(ConfigError, match="as a checkpoint of version 2 or 3") as exc:
         T.load_checkpoint(path)
     assert says in str(exc.value)
+
+
+def test_compact_and_version_2_checkpoints_load_bit_exact(datasets, tmp_path):
+    """A ``backbone`` step reads at most 16 of the 30 users and items, so their
+    moment pairs are saved compact; a -0.0 row is nonzero bytes and is kept.
+    The same state in the dense version-2 layout loads to the same bits."""
+    cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=1, seed=8, variant="backbone")
+    state, _ = T.train(*datasets, ModelConfig(**MODEL), cfg)
+    m = state.opt_model.m["emb.user"]
+    m[np.flatnonzero(~m.any(axis=1))[0]] = -0.0
+    compact, dense = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
+    T.save_checkpoint(compact, state, cfg)
+    with np.load(compact) as z:
+        header, members = json.loads(str(z[T.HEADER])), z.files
+    assert {"opt_model.rows.emb.user", "opt_model.rows.emb.item"} <= set(members)
+    with open(dense, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps({**header, "version": 2})), **T._state_arrays(state))
+    assert compact.stat().st_size < dense.stat().st_size
+    for path in (compact, dense):
+        loaded, loaded_cfg = T.load_checkpoint(path)
+        assert loaded_cfg == cfg and loaded.step == 1
+        assert param_bytes(loaded) == param_bytes(state)
+        assert adam_slots(loaded) == adam_slots(state)
+        assert rng_states(loaded) == rng_states(state)
+
+
+@pytest.mark.parametrize("shape, zero_rows, compact", [
+    ((1, 1), [0], False),  # a ranking teacher's output bias, whose moments stay zero
+    ((30, 4), [3], False),  # one zero row saves 64 B, less than a rows member costs
+    ((30, 4), list(range(20)), True),
+], ids=["1x1_zero", "one_zero_row", "most_rows_zero"])
+def test_a_moment_pair_is_compacted_only_where_that_makes_the_file_smaller(tmp_path, shape, zero_rows, compact):
+    m, v = np.ones(shape), np.ones(shape)
+    m[zero_rows] = v[zero_rows] = 0.0
+    rows = np.setdiff1d(np.arange(shape[0]), zero_rows)
+    sizes = []
+    for arrays in ({"m": m, "v": v}, {"m": m[rows], "v": v[rows], "rows": rows}):
+        with open(tmp_path / "pair.npz", "wb") as fh:
+            np.savez(fh, **{f"opt_model.{slot}.emb.user": a for slot, a in arrays.items()})
+        sizes.append((tmp_path / "pair.npz").stat().st_size)
+    assert (sizes[1] < sizes[0]) == compact
+    kept = T._kept_rows(m, v)
+    assert kept is None if not compact else kept.tolist() == rows.tolist()
+
+
+def test_a_failed_save_leaves_the_checkpoint_at_its_path(datasets, tmp_path, monkeypatch):
+    path = tmp_path / "final.ckpt"
+    saved_members(datasets, path)
+    before = path.read_bytes()
+    state, cfg = T.load_checkpoint(path)
+
+    def failing_savez(fh, **arrays):
+        fh.write(before[:100])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="no space left"):
+        T.save_checkpoint(path, state, cfg)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
 
 
 @pytest.mark.parametrize("optimizer", ("sgd", "adam"))
@@ -191,6 +254,33 @@ def test_kd_sends_no_gradient_to_teachers_or_calibration(datasets, backbone, var
             assert not g.any(), name
     for student in ("tower.a.", "tower.b."):
         assert any(g.any() for name, g in grads.items() if name.startswith(student))
+
+
+@pytest.mark.parametrize("variant", ["crossdistil", "no_auxiliary_rank", "kd_same_task"])
+@pytest.mark.parametrize("tower_hidden", [(), (4,)], ids=["linear_tower", "hidden_tower"])
+@pytest.mark.parametrize("optimizer", ("sgd", "adam"))
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_ranking_teachers_send_no_gradient_to_their_output_bias(datasets, backbone, optimizer, tower_hidden, variant):
+    """Each ranking term sends +g and -g through the two forwards of a pair,
+    which cancel exactly at a teacher's output bias; the Platt intercept
+    carries the offset instead. Adam divides by sqrt(v), so rounding noise
+    left there would move the bias by lr-sized steps. A "ce" teacher, the
+    control, moves it."""
+    train_ds, _ = datasets
+    cfg = T.TrainConfig(optimizer=optimizer, batch_size=16, seed=8, variant=variant)
+    state = T.init_state(ModelConfig(backbone=backbone, tower_hidden=tower_hidden, **MODEL), train_ds, cfg)
+    params = dict(state.net.named_parameters())
+    biases = [params[f"tower.{teacher}.{len(tower_hidden)}.b"] for teacher in TEACHERS]
+    before = [b.values.tobytes() for b in biases]
+    part = partition(train_ds)
+    wiring = T.apply_variant(variant)
+    got_gradient = False
+    for _ in range(20):
+        T.train_step(state, train_ds, part, cfg, wiring)
+        got_gradient |= any(b.grad.any() for b in biases)
+    ranking = wiring.teachers in ("quad", "pair")
+    assert got_gradient != ranking
+    assert ([b.values.tobytes() for b in biases] == before) == ranking
 
 
 @pytest.mark.parametrize("variant", T.VARIANTS)

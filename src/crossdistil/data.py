@@ -28,6 +28,8 @@ from .errors import ConfigError, DataError, DegenerateLabels, require_finite, re
 from .numgrad import sigmoid_values as _sigmoid
 
 SPLIT_TAGS = ("train", "valid", "test")
+# rows per block of the synthetic generator's row-wise passes, which bounds their temporaries
+_BLOCK_ROWS = 1 << 15
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -67,7 +69,7 @@ class Dataset:
         if ya.shape != (ids.shape[0],) or yb.shape != (ids.shape[0],):
             raise ConfigError("label arrays must be 1-D and aligned with field_ids")
         for arr in (ya, yb):
-            if arr.size and not np.isin(arr, (0, 1)).all():
+            if not ((arr == 0) | (arr == 1)).all():
                 raise ConfigError("labels must be 0 or 1")
         if ids.size:
             if ids.min() < 0:
@@ -310,13 +312,27 @@ class SynthConfig:
 
 
 def _fit_bias(z: np.ndarray, target: float, max_iter: int = 200, tol: float = 5e-5) -> float:
-    """Bisect b so that mean(sigmoid(z + b)) hits the target rate."""
+    """Bisect b so that mean(sigmoid(z + b)) hits the target rate.
+
+    Each pass writes sigmoid(z + b) into one reused buffer, ``_BLOCK_ROWS``
+    rows at a time, and takes the mean of the whole buffer: the sigmoid works
+    element by element, so the rates have the bits of one full-length pass,
+    while a pass's temporaries stay within a few blocks of rows.
+    """
+    buf = np.empty_like(z)
+
+    def rate_at(b: float) -> float:
+        for start in range(0, z.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            buf[rows] = _sigmoid(z[rows] + b)
+        return buf.mean()
+
     lo, hi = -40.0, 40.0
-    if _sigmoid(z + lo).mean() > target or _sigmoid(z + hi).mean() < target:
+    if rate_at(lo) > target or rate_at(hi) < target:
         raise ConfigError(f"positive rate {target} unreachable for this utility distribution")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        rate = _sigmoid(z + mid).mean()
+        rate = rate_at(mid)
         if abs(rate - target) < tol:
             return mid
         if rate < target:
@@ -324,6 +340,18 @@ def _fit_bias(z: np.ndarray, target: float, max_iter: int = 200, tol: float = 5e
         else:
             hi = mid
     raise ConfigError(f"bias bisection did not converge to rate {target} in {max_iter} steps")
+
+
+def _row_dots(left: np.ndarray, right: np.ndarray, left_rows: np.ndarray, right_rows: np.ndarray) -> np.ndarray:
+    """``(left[left_rows] * right[right_rows]).sum(axis=1)``, ``_BLOCK_ROWS`` rows
+    at a time: numpy sums each row with the same tree at any row count, so
+    the bits match the full product's, without its (N, d) temporaries. The
+    rows are gathered with ``np.take``, which is faster than fancy indexing."""
+    out = np.empty(left_rows.size)
+    for start in range(0, out.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[rows] = (np.take(left, left_rows[rows], axis=0) * np.take(right, right_rows[rows], axis=0)).sum(axis=1)
+    return out
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -337,7 +365,10 @@ def generate_synthetic(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Data
     """Draw a dataset plus the (N, 2) ground-truth utilities behind its labels.
 
     The utilities returned are the final logits (bias included); their order
-    is the oracle ranking used by the end-to-end checks.
+    is the oracle ranking used by the end-to-end checks. The latent dot
+    products and the bias bisection run ``_BLOCK_ROWS`` rows at a time, so no
+    temporary holds more than a block of (row, latent) products; the result
+    has the bits of the unblocked formulas.
     """
     n, d = cfg.n_samples, cfg.latent_dim
     users = rng.integers(0, cfg.n_users, size=n)
@@ -351,11 +382,13 @@ def generate_synthetic(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Data
     ctx_core = [rng.normal(scale=0.3, size=cfg.context_vocab) for _ in range(cfg.n_context_fields)]
     ctx_ind = [rng.normal(scale=0.3, size=cfg.context_vocab) for _ in range(cfg.n_context_fields)]
 
-    core = (user_core[users] * item_core[items]).sum(axis=1) / np.sqrt(d)
-    ind = (user_ind[users] * item_ind[items]).sum(axis=1) / np.sqrt(d)
+    core = _row_dots(user_core, item_core, users, items)
+    ind = _row_dots(user_ind, item_ind, users, items)
+    core /= np.sqrt(d)
+    ind /= np.sqrt(d)
     for f in range(cfg.n_context_fields):
-        core = core + ctx_core[f][ctx[f]]
-        ind = ind + ctx_ind[f][ctx[f]]
+        core += ctx_core[f][ctx[f]]
+        ind += ctx_ind[f][ctx[f]]
     core = _standardize(core)
     ind = _standardize(ind)
     mix = cfg.rho * core + np.sqrt(max(0.0, 1.0 - cfg.rho**2)) * ind
@@ -367,7 +400,7 @@ def generate_synthetic(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Data
     y_a = (rng.random(n) < _sigmoid(u_a)).astype(np.int64)
     y_b = (rng.random(n) < _sigmoid(u_b)).astype(np.int64)
 
-    ids = np.column_stack([users, items] + ctx).astype(np.int64)
+    ids = np.column_stack([users, items] + ctx)  # int64, as rng.integers draws them
     ds = Dataset(cfg.field_names(), cfg.vocab_sizes(), ids, y_a, y_b)
     return ds, np.column_stack([u_a, u_b])
 

@@ -374,12 +374,13 @@ def train_step(state: TrainState, ds: Dataset, part: LabelPartition,
 
 
 def _forward_values(net: MultiTaskNet, ds: Dataset, chunk: int = 4096) -> dict[str, np.ndarray]:
-    cols: dict[str, list[np.ndarray]] = {h: [] for h in HEADS}
+    out = {h: np.empty(len(ds)) for h in HEADS}
     with ng.no_grad():
         for start in range(0, len(ds), chunk):
-            for name, logits in net.forward(ds.field_ids[start : start + chunk]).items():
-                cols[name].append(logits.values[:, 0])
-    return {name: np.concatenate(parts) if parts else np.zeros(0) for name, parts in cols.items()}
+            rows = slice(start, start + chunk)
+            for name, logits in net.forward(ds.field_ids[rows]).items():
+                out[name][rows] = logits.values[:, 0]
+    return out
 
 
 def evaluate(net: MultiTaskNet, calibration: CalibrationParams, ds: Dataset) -> dict[str, float]:

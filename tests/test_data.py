@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_traced_bytes
 from crossdistil.data import (
     PAIRS,
     QUADS,
@@ -227,6 +228,17 @@ class TestSynthetic:
         assert ds.vocab_sizes == (10, 9, 4, 4)
         assert utils.shape == (100, 2)
 
+    def test_generation_peak_is_under_2_8_times_its_output(self):
+        """An eval_ckpt-shaped config at half its rows. Full (N, d) gathers and an
+        int64 copy of the stacked ids peak near 3.14 times the output bytes;
+        row blocks bring that to 2.56."""
+        cfg = SynthConfig(n_users=20_000, n_items=20_000, n_context_fields=8, n_samples=2**17)
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(generate_synthetic(cfg, np.random.default_rng(1))))
+        (ds, utils), = out
+        output_bytes = ds.field_ids.nbytes + ds.y_a.nbytes + ds.y_b.nbytes + utils.nbytes
+        assert peak < 2.8 * output_bytes
+
     def test_bad_rho_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(rho=1.5)
@@ -300,9 +312,13 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigError, match="vocabulary"):
             Dataset(("u",), (2,), np.array([[5]]), np.array([1]), np.array([0]))
 
-    def test_labels_validated(self):
-        with pytest.raises(ConfigError, match="labels"):
-            Dataset(("u",), (3,), np.array([[1]]), np.array([2]), np.array([0]))
+    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("task", ["a", "b"])
+    def test_labels_validated(self, bad, task):
+        labels = {"a": np.array([0, 1, 1]), "b": np.array([1, 0, 0])}
+        labels[task][1] = bad
+        with pytest.raises(ConfigError, match="^labels must be 0 or 1$"):
+            Dataset(("u",), (3,), np.array([[1], [0], [2]]), labels["a"], labels["b"])
 
     def test_arrays_immutable(self, rng):
         ds = make_dataset(rng.integers(0, 2, size=(5, 2)))

@@ -22,7 +22,13 @@ To check that a change keeps every run bit for bit, compare what
     PYTHONPATH=src python tests/test_golden.py --digest
 
 prints before and after it: one SHA-256 over the JSON of every run, in
-``RUNS`` order. It writes nothing.
+``RUNS`` order, then ``data <sha256>`` over the ids, labels and utilities
+that ``generate_synthetic`` draws for every case of ``SYNTH_CASES``. It
+writes nothing.
+
+``SYNTH_CASES`` straddle the generator's row blocks, and
+``test_synthetic_matches_the_unblocked_formulas`` checks each of them byte
+for byte against a local copy of the unblocked formulas.
 """
 
 from __future__ import annotations
@@ -37,14 +43,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossdistil import data
 from crossdistil.data import SynthConfig, generate_synthetic, split_dataset
 from crossdistil.model import BACKBONES, ModelConfig
+from crossdistil.numgrad import sigmoid_values
 from crossdistil.training import VARIANTS, TrainConfig, train
 
 FIXTURE = Path(__file__).with_name("golden_histories.json")
 OPTIMIZERS = ("sgd", "adam")
 RUNS = [f"{v}/{b}/{o}" for v in VARIANTS for b in BACKBONES for o in OPTIMIZERS]
 RTOL = 1e-12  # relative tolerance of the gated_experts comparison
+SYNTH_BLOCK = 2**15  # the generator's row block, written out so the digest also runs on code without it
+SYNTH_CASES = [SynthConfig(n_samples=n, n_context_fields=fields, rho=rho)
+               for n in (SYNTH_BLOCK - 1, SYNTH_BLOCK, 2 * SYNTH_BLOCK + 1) for fields in (1, 3) for rho in (0.7, -0.7)]
 
 
 def make_datasets():
@@ -122,6 +133,70 @@ def test_history_matches_golden(datasets, golden, run):
                                    atol=RTOL * np.abs(values).max(), err_msg=name)
 
 
+def synthetic_arrays(case: int) -> tuple[np.ndarray, ...]:
+    ds, utils = generate_synthetic(SYNTH_CASES[case], np.random.default_rng(case))
+    return ds.field_ids, ds.y_a, ds.y_b, utils
+
+
+def unblocked_synthetic(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The generator's formulas without row blocks: full (N, d) gathers, an
+    int64 copy of the stacked ids and full-length bisection passes."""
+    def fit_bias(z, target):
+        lo, hi = -40.0, 40.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            rate = sigmoid_values(z + mid).mean()
+            if abs(rate - target) < 5e-5:
+                return mid
+            lo, hi = (mid, hi) if rate < target else (lo, mid)
+        raise AssertionError("bisection did not converge")
+
+    def standardize(x):
+        return (x - x.mean()) / x.std()
+
+    n, d = cfg.n_samples, cfg.latent_dim
+    users = rng.integers(0, cfg.n_users, size=n)
+    items = rng.integers(0, cfg.n_items, size=n)
+    ctx = [rng.integers(0, cfg.context_vocab, size=n) for _ in range(cfg.n_context_fields)]
+    user_core, item_core, user_ind, item_ind = (rng.normal(size=(size, d)) for size in
+                                                (cfg.n_users, cfg.n_items, cfg.n_users, cfg.n_items))
+    ctx_core = [rng.normal(scale=0.3, size=cfg.context_vocab) for _ in range(cfg.n_context_fields)]
+    ctx_ind = [rng.normal(scale=0.3, size=cfg.context_vocab) for _ in range(cfg.n_context_fields)]
+    core = (user_core[users] * item_core[items]).sum(axis=1) / np.sqrt(d)
+    ind = (user_ind[users] * item_ind[items]).sum(axis=1) / np.sqrt(d)
+    for f in range(cfg.n_context_fields):
+        core = core + ctx_core[f][ctx[f]]
+        ind = ind + ctx_ind[f][ctx[f]]
+    core, ind = standardize(core), standardize(ind)
+    mix = cfg.rho * core + np.sqrt(max(0.0, 1.0 - cfg.rho**2)) * ind
+    z_a, z_b = cfg.utility_scale * core, cfg.utility_scale * mix
+    u_a, u_b = z_a + fit_bias(z_a, cfg.rate_a), z_b + fit_bias(z_b, cfg.rate_b)
+    y_a = (rng.random(n) < sigmoid_values(u_a)).astype(np.int64)
+    y_b = (rng.random(n) < sigmoid_values(u_b)).astype(np.int64)
+    return np.column_stack([users, items] + ctx).astype(np.int64), y_a, y_b, np.column_stack([u_a, u_b])
+
+
+def test_synthetic_cases_straddle_the_row_blocks():
+    assert data._BLOCK_ROWS == SYNTH_BLOCK
+
+
+@pytest.mark.parametrize("case", range(len(SYNTH_CASES)))
+def test_synthetic_matches_the_unblocked_formulas(case):
+    got = synthetic_arrays(case)
+    want = unblocked_synthetic(SYNTH_CASES[case], np.random.default_rng(case))
+    for name, g, w in zip(("field_ids", "y_a", "y_b", "utilities"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+def data_digest() -> str:
+    """SHA-256 over the bytes of ``synthetic_arrays`` of every case, in ``SYNTH_CASES`` order."""
+    h = hashlib.sha256()
+    for case in range(len(SYNTH_CASES)):
+        for arr in synthetic_arrays(case):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def digest(datasets) -> str:
     """SHA-256 over ``json.dumps(run_golden(run), sort_keys=True)`` of every run, in ``RUNS`` order."""
     h = hashlib.sha256()
@@ -132,12 +207,14 @@ def digest(datasets) -> str:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate the golden fixture, or print the digest of every run.")
-    parser.add_argument("--digest", action="store_true", help="print the digest of every run and write nothing")
+    parser.add_argument("--digest", action="store_true",
+                        help="print the digest of every run and of the synthetic cases, and write nothing")
     args = parser.parse_args()
-    data = make_datasets()
+    datasets = make_datasets()
     if args.digest:
-        print(digest(data))
+        print(digest(datasets))
+        print("data", data_digest())
     else:
-        runs = {run: run_golden(data, run) for run in RUNS}
+        runs = {run: run_golden(datasets, run) for run in RUNS}
         FIXTURE.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(runs)} runs to {FIXTURE}")

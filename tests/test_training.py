@@ -563,12 +563,16 @@ def _eval_net(eval_ds, backbone) -> MultiTaskNet:
 
 
 @pytest.mark.parametrize("backbone", BACKBONES)
-def test_chunked_forward_equals_a_forward_per_chunk(datasets, backbone):
-    eval_ds = datasets[1]
-    net = _eval_net(eval_ds, backbone)
+@pytest.mark.parametrize("chunk", [CHUNK, None])
+def test_chunked_forward_equals_a_forward_per_chunk(backbone, chunk):
+    """Two full chunks and a 1-row partial one, of CHUNK rows or of the default 4096."""
+    size = chunk or 4096
+    ds, _ = generate_synthetic(SynthConfig(n_users=30, n_items=30, n_samples=2 * size + 1), np.random.default_rng(8))
+    net = MultiTaskNet(ModelConfig(backbone=backbone, **MODEL), ds.vocab_sizes, ds.field_names)
     with ng.no_grad():
-        chunks = [net.forward(eval_ds.field_ids[start:start + CHUNK]) for start in range(0, len(eval_ds), CHUNK)]
-    scores = T._forward_values(net, eval_ds, CHUNK)
+        chunks = [net.forward(ds.field_ids[start:start + size]) for start in range(0, len(ds), size)]
+    scores = T._forward_values(net, ds) if chunk is None else T._forward_values(net, ds, chunk)
+    assert list(scores) == list(HEADS)
     for head in HEADS:
         assert scores[head].tobytes() == np.concatenate([c[head].values[:, 0] for c in chunks]).tobytes(), head
 

@@ -55,6 +55,7 @@ from .data import (
     split_dataset,
 )
 from .errors import ConfigError, CrossDistilError, require_object
+from .metrics import label_phi
 from .model import ModelConfig
 from .training import VARIANTS, TrainConfig, config_from_dict, evaluate, load_checkpoint, save_checkpoint, train
 
@@ -210,6 +211,7 @@ def run_single(run: RunConfig, seed: int, corrupt: tuple[str, float] | None = No
         "steps": state.step,
         "config": asdict(replace(run, model=model_cfg, train=cfg)),
         "corrupt": None if corrupt is None else {"task": corrupt[0], "ratio": corrupt[1]},
+        "train_label_phi": label_phi(train_ds.y_a, train_ds.y_b),  # after any corruption
         "metrics": test_metrics,
     }
     if out_dir is not None:

@@ -1,5 +1,5 @@
 """Ranking and calibration metrics: AUC, prevalence-weighted multi-class AUC,
-log loss, and the 4-class ordering of label combinations per task.
+log loss, the 4-class ordering of label combinations per task, and label phi.
 
 All functions are pure and operate on plain numpy arrays. ``auc``,
 ``multi_auc`` and ``task_aucs`` sort the scores once per call and read the
@@ -177,3 +177,14 @@ def class_of(y_a, y_b, task: str):
     if task == "b":
         return 2 * yb + ya
     raise ConfigError(f"class_of: unknown task {task!r}")
+
+
+def label_phi(y_a, y_b) -> float | None:
+    """Phi coefficient of two aligned 0/1 label vectors (their Pearson
+    correlation), from the 2x2 counts; None when either takes one value only."""
+    ya, yb = np.asarray(y_a, dtype=np.int64).ravel(), np.asarray(y_b, dtype=np.int64).ravel()
+    if ya.shape != yb.shape or not np.isin(np.concatenate([ya, yb]), (0, 1)).all():
+        raise ConfigError("label_phi: needs two aligned vectors of 0/1 labels")
+    n00, n01, n10, n11 = (int(n) for n in np.bincount(class_of(ya, yb, "a"), minlength=4))
+    margins = (n10 + n11) * (n00 + n01) * (n01 + n11) * (n00 + n10)
+    return (n11 * n00 - n10 * n01) / margins**0.5 if margins else None

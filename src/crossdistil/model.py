@@ -13,6 +13,10 @@ builds only those towers and the mixtures that feed them.
 The forward is built from ``numgrad``'s fused layer ops: one ``gather_cols``
 node for the embedding lookup of all fields, and one ``linear`` node per
 dense layer (trunk, expert, gate logits and tower layers).
+
+Each trainable tensor is named where it is drawn (``emb.user``, ``expert.2.0.w``,
+``gate.a.b``, ``tower.a_plus.1.w``, ...) and kept in draw order in ``MultiTaskNet.params``;
+these names are the checkpoint member names and the Adam ``m``/``v`` keys.
 """
 
 from __future__ import annotations
@@ -59,14 +63,15 @@ class ModelConfig:
         object.__setattr__(self, "tower_hidden", tuple(int(h) for h in self.tower_hidden))
 
 
-def _mlp(rng, sizes: list[int], scale: float) -> list[tuple[Tensor, Tensor]]:
-    """Trainable (weight, bias) pairs of an MLP, each drawn uniformly in
-    +-scale/sqrt(fan_in), weight before bias, layer by layer."""
+def _mlp(params: dict[str, Tensor], prefix: str, rng, sizes: list[int], scale: float) -> list[tuple[Tensor, Tensor]]:
+    """Trainable (weight, bias) pairs of an MLP, drawn uniformly in +-scale/sqrt(fan_in),
+    weight before bias, layer by layer, into ``params`` as ``<prefix>.<layer>.w`` and ``.b``."""
     layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         s = scale / np.sqrt(fan_in)
-        w = Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True)
-        layers.append((w, Tensor(rng.uniform(-s, s, size=(1, fan_out)), requires_grad=True)))
+        w = params[f"{prefix}.{i}.w"] = Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True)
+        b = params[f"{prefix}.{i}.b"] = Tensor(rng.uniform(-s, s, size=(1, fan_out)), requires_grad=True)
+        layers.append((w, b))
     return layers
 
 
@@ -84,58 +89,43 @@ class MultiTaskNet:
         if len(set(self.field_names)) != len(self.field_names):  # they name the embedding tables
             raise ConfigError(f"field names must be distinct, got {self.field_names}")
 
+        self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(cfg.seed)
         d = cfg.embedding_dim
         emb_scale = cfg.init_scale / np.sqrt(d)
-        self.embeddings = [
-            Tensor(rng.uniform(-emb_scale, emb_scale, size=(v, d)), requires_grad=True)
-            for v in self.vocab_sizes
-        ]
+        for name, v in zip(self.field_names, self.vocab_sizes):
+            self.params[f"emb.{name}"] = Tensor(rng.uniform(-emb_scale, emb_scale, size=(v, d)), requires_grad=True)
+        self.embeddings = list(self.params.values())
         in_dim = d * len(self.vocab_sizes)
 
         if cfg.backbone == "shared_bottom":
-            self.trunk = _mlp(rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
+            self.trunk = _mlp(self.params, "trunk", rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
         else:
             # shared experts plus one private expert per task; gates start at
             # zero so the initial mixture is exactly uniform
             self.experts = [
-                _mlp(rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
-                for _ in range(cfg.n_experts + 2)  # last two are private to a, b
+                _mlp(self.params, f"expert.{e}", rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
+                for e in range(cfg.n_experts + 2)  # last two are private to a, b
             ]
             mix_width = cfg.n_experts + 1
-            self.gates = {
-                task: (
-                    Tensor(np.zeros((in_dim, mix_width)), requires_grad=True),
-                    Tensor(np.zeros((1, mix_width)), requires_grad=True),
-                )
-                for task in TASKS
-            }
+            self.gates = {}
+            for task in TASKS:
+                w = self.params[f"gate.{task}.w"] = Tensor(np.zeros((in_dim, mix_width)), requires_grad=True)
+                b = self.params[f"gate.{task}.b"] = Tensor(np.zeros((1, mix_width)), requires_grad=True)
+                self.gates[task] = (w, b)
 
         self.towers = {
-            head: _mlp(rng, [cfg.hidden_sizes[-1], *cfg.tower_hidden, 1], cfg.init_scale)
+            head: _mlp(self.params, f"tower.{head}", rng, [cfg.hidden_sizes[-1], *cfg.tower_hidden, 1], cfg.init_scale)
             for head in HEADS
         }
 
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [(f"emb.{name}", t) for name, t in zip(self.field_names, self.embeddings)]
-        if self.cfg.backbone == "shared_bottom":
-            for i, (w, b) in enumerate(self.trunk):
-                out += [(f"trunk.{i}.w", w), (f"trunk.{i}.b", b)]
-        else:
-            for e, layers in enumerate(self.experts):
-                for i, (w, b) in enumerate(layers):
-                    out += [(f"expert.{e}.{i}.w", w), (f"expert.{e}.{i}.b", b)]
-            for task, (w, b) in self.gates.items():
-                out += [(f"gate.{task}.w", w), (f"gate.{task}.b", b)]
-        for head in HEADS:
-            for i, (w, b) in enumerate(self.towers[head]):
-                out += [(f"tower.{head}.{i}.w", w), (f"tower.{head}.{i}.b", b)]
-        return out
+        return list(self.params.items())
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.params.values())
 
     def n_parameters(self) -> int:
         return sum(t.values.size for t in self.parameters())

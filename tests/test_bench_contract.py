@@ -1,11 +1,12 @@
 """The benchmark imports and wraps package names at call time; its self-test
 fails when a refactor drops or renames one of them."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-from crossdistil import numgrad, training
+from crossdistil import cli, numgrad, training
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +29,15 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "selftest ok" in proc.stdout
+
+
+def test_bench_seed_split_matches_the_cli():
+    """``bench/run.py`` keeps its own copy of ``cli._derived_seeds``; it must
+    give the same seeds. Compared in a subprocess, because importing the
+    benchmark sets BLAS thread variables and ``sys.path``."""
+    seeds = [0, 1, 7, 2**31 - 1]
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); import run; "
+            f"print(json.dumps([run.derived_seeds(s) for s in {seeds}]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [cli._derived_seeds(s) for s in seeds]

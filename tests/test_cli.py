@@ -18,6 +18,7 @@ import pytest
 from crossdistil import cli
 from crossdistil.cli import main
 from crossdistil.data import SynthConfig, generate_synthetic
+from crossdistil.metrics import label_phi
 from crossdistil.model import ModelConfig
 from crossdistil.training import VARIANTS, load_checkpoint
 
@@ -50,6 +51,16 @@ def test_train_writes_outputs(tmp_path, config):
     records = [json.loads(line) for line in (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [r["step"] for r in records] == [0, 2, 4]
     assert all(set(r) == {"step", "train", "eval"} for r in records)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    train_ds = cli.prepare_datasets(cli.load_run_config(config), 0)[0]
+    assert summary["train_label_phi"] == label_phi(train_ds.y_a, train_ds.y_b)
+
+
+def test_label_phi_is_read_after_corruption(config):
+    run = cli.load_run_config(config)
+    clean = cli.run_single(run, 0)[0]["train_label_phi"]
+    corrupted = cli.run_single(run, 0, corrupt=("a", 1.0))[0]["train_label_phi"]
+    assert corrupted < clean
 
 
 def test_resume_checks_the_checkpoint_config(tmp_path, config, capsys):

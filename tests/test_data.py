@@ -341,10 +341,14 @@ class TestDatasetInvariants:
     def test_subset_arrays_are_read_only(self, rng):
         ds = make_dataset(rng.integers(0, 2, size=(8, 2)))
         ds = Dataset(ds.field_names, ds.vocab_sizes, ds.field_ids, ds.y_a, ds.y_b, rng.integers(0, 3, size=8))
-        sub = ds.subset([5, 1, 1])
-        np.testing.assert_array_equal(sub.field_ids, ds.field_ids[[5, 1, 1]])
+        idx = [5, 1, 1, -2]
+        sub = ds.subset(idx)
         for name in ("field_ids", "y_a", "y_b", "split_tags"):
             arr = getattr(sub, name)
+            want = getattr(ds, name)[idx]  # fancy indexing, the reference
+            assert arr.dtype == want.dtype and arr.shape == want.shape and arr.tobytes() == want.tobytes(), name
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr[0] = 0
+        with pytest.raises(IndexError, match="index 8 is out of bounds for axis 0 with size 8"):
+            ds.subset([1, 8])

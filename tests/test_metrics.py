@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdistil import metrics
-from crossdistil.data import RANKED, Dataset, partition
+from crossdistil.data import RANKED, Dataset, SynthConfig, generate_synthetic, partition
 from crossdistil.errors import ConfigError, UndefinedMetricError
-from crossdistil.metrics import auc, class_of, logloss, multi_auc
+from crossdistil.metrics import auc, class_of, label_phi, logloss, multi_auc
 
 
 def brute_force_auc(scores, labels):
@@ -256,3 +256,30 @@ class TestClassOf:
         classes = class_of(ya, yb, task)
         for hi, lo in RANKED[task]:
             assert classes[part[hi]].min() > classes[part[lo]].max(), (hi, lo)
+
+
+class TestLabelPhi:
+    @pytest.mark.parametrize("p_b", [0.1, 0.5, 0.9])
+    def test_equals_pearson_correlation(self, rng, p_b):
+        ya = rng.integers(0, 2, size=500)
+        yb = np.where(rng.random(500) < 0.3, ya, rng.random(500) < p_b).astype(np.int64)
+        assert abs(label_phi(ya, yb) - np.corrcoef(ya, yb)[0, 1]) < 1e-12
+
+    @pytest.mark.parametrize("rho", [0.7, -0.7])
+    def test_sign_follows_the_generator_rho(self, rho):
+        ds, _ = generate_synthetic(SynthConfig(n_users=40, n_items=40, n_samples=4000, rho=rho),
+                                   np.random.default_rng(0))
+        assert np.sign(label_phi(ds.y_a, ds.y_b)) == np.sign(rho)
+
+    @pytest.mark.parametrize("ya,yb", [([0, 0, 0], [0, 1, 1]), ([1, 0, 1], [1, 1, 1]), ([], [])])
+    def test_none_for_single_valued_labels(self, ya, yb):
+        assert label_phi(ya, yb) is None
+
+    def test_extremes(self):
+        assert label_phi([0, 1, 1, 0], [0, 1, 1, 0]) == 1.0
+        assert label_phi([0, 1, 1, 0], [1, 0, 0, 1]) == -1.0
+
+    @pytest.mark.parametrize("ya,yb", [([0, 1], [0, 1, 1]), ([0, 2], [0, 1]), ([0, -1], [1, 0])])
+    def test_rejects_misaligned_or_non_binary_labels(self, ya, yb):
+        with pytest.raises(ConfigError, match="label_phi"):
+            label_phi(ya, yb)

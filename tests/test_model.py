@@ -50,6 +50,54 @@ class TestInit:
         w = dict(net.named_parameters())["trunk.0.w"]
         assert np.abs(w.values).max() <= 0.5 / np.sqrt(8)
 
+    # the layouts the golden runs do not reach: two trunk layers, tower hidden
+    # layers, three shared experts
+    LAYOUTS = {
+        "shared_bottom": (
+            dict(backbone="shared_bottom", hidden_sizes=(8, 4), tower_hidden=(3,)),
+            ["emb.u", "emb.i", "trunk.0.w", "trunk.0.b", "trunk.1.w", "trunk.1.b"]
+            + [f"tower.{h}.{i}.{p}" for h in HEADS for i in range(2) for p in "wb"],
+        ),
+        "gated_experts": (
+            dict(backbone="gated_experts", n_experts=3, hidden_sizes=(8, 4), tower_hidden=(3, 2)),
+            ["emb.u", "emb.i"]
+            + [f"expert.{e}.{i}.{p}" for e in range(5) for i in range(2) for p in "wb"]
+            + ["gate.a.w", "gate.a.b", "gate.b.w", "gate.b.b"]
+            + [f"tower.{h}.{i}.{p}" for h in HEADS for i in range(3) for p in "wb"],
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_names_and_draw_order_pinned(self, layout):
+        """Names, order and init bytes: embeddings by field, then the trunk or
+        each expert layer by layer (weight before bias), then zero gates, then
+        the towers in HEADS order, each drawn uniformly in +-scale/sqrt(fan_in)."""
+        kwargs, names = self.LAYOUTS[layout]
+        cfg = ModelConfig(embedding_dim=3, init_scale=0.7, seed=11, **kwargs)
+        net = MultiTaskNet(cfg, vocab_sizes=(5, 4), field_names=("u", "i"))
+        assert [name for name, _ in net.named_parameters()] == names
+
+        rng = np.random.default_rng(11)
+        ref = [rng.uniform(-0.7 / np.sqrt(3), 0.7 / np.sqrt(3), size=(v, 3)) for v in (5, 4)]
+
+        def mlp(sizes):
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+                s = 0.7 / np.sqrt(fan_in)
+                ref.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
+                ref.append(rng.uniform(-s, s, size=(1, fan_out)))
+
+        stacks = 1 if layout == "shared_bottom" else cfg.n_experts + 2
+        for _ in range(stacks):
+            mlp([6, 8, 4])
+        if layout == "gated_experts":
+            ref += [np.zeros((6, 4)), np.zeros((1, 4))] * 2
+        for _ in HEADS:
+            mlp([4, *cfg.tower_hidden, 1])
+        assert len(ref) == len(names)
+        for (name, t), want in zip(net.named_parameters(), ref):
+            assert t.values.shape == want.shape and t.values.tobytes() == want.tobytes(), name
+            assert t.requires_grad, name
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(backbone="transformer")

@@ -76,11 +76,8 @@ class CalibrationParams:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def zero_grad(self):
-        for t in self.parameters():
+        for t in self.params.values():
             t.zero_grad()
 
     def calibrate_values(self, raw: np.ndarray, task: str) -> np.ndarray:
@@ -110,15 +107,6 @@ def ce_from_logits(labels, logits: Tensor) -> Tensor:
     raises ``ConfigError``.
     """
     return ng.ce_mean(logits, _as_column(labels))
-
-
-def soft_ce_from_logits(target_probs, logits: Tensor, scale: float = 1.0) -> Tensor:
-    """Mean cross-entropy of sigmoid(scale * logits) against fixed soft targets.
-
-    One ``soft_ce_mean`` tape node; a target outside [0, 1], NaN included,
-    raises ``ConfigError``.
-    """
-    return ng.soft_ce_mean(logits, _as_column(target_probs), scale)
 
 
 def bpr_loss(pos_logits: Tensor, neg_logits: Tensor) -> Tensor:
@@ -181,7 +169,7 @@ def kd_loss(teacher_logits, student_logits: Tensor, temperature: float) -> Tenso
         raise ConfigError(f"temperature must be positive, got {temperature}")
     t = _as_column(_values_of(teacher_logits))
     targets = ng.sigmoid_values(t / temperature)
-    return soft_ce_from_logits(targets, student_logits, 1.0 / temperature)
+    return ng.soft_ce_mean(student_logits, targets, 1.0 / temperature)
 
 
 def student_loss(labels, student_logits: Tensor, kd: Tensor | None, alpha: float) -> Tensor:

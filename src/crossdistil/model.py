@@ -42,7 +42,6 @@ class ModelConfig:
     hidden_sizes: tuple[int, ...] = (32,)  # trunk layers, or each expert's layers
     tower_hidden: tuple[int, ...] = ()
     n_experts: int = 2  # shared experts (gated_experts only)
-    activation: str = "relu"
     init_scale: float = 1.0
     seed: int = 0
 
@@ -50,8 +49,6 @@ class ModelConfig:
         require_ints(self, ("embedding_dim", "n_experts", "seed"), lists=("hidden_sizes", "tower_hidden"))
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
-        if self.activation != "relu":
-            raise ConfigError("only relu activation is supported")
         if self.embedding_dim < 1 or self.n_experts < 1:
             raise ConfigError("embedding_dim and n_experts must be at least 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
@@ -124,14 +121,11 @@ class MultiTaskNet:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def n_parameters(self) -> int:
-        return sum(t.values.size for t in self.parameters())
+        return sum(t.values.size for t in self.params.values())
 
     def zero_grad(self):
-        for t in self.parameters():
+        for t in self.params.values():
             t.zero_grad()
 
     # -- forward ------------------------------------------------------------

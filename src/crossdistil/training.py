@@ -130,6 +130,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if not isinstance(self.variant, str) or self.variant not in _WIRING:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        teachers = ("weight_a_plus", "weight_b_plus") if _WIRING[self.variant].teachers != "off" else ()
+        if not any(getattr(self.hyper, name) for name in ("weight_a", "weight_b", *teachers)):
+            raise ConfigError(f"all loss weights are zero; nothing to train (variant {self.variant!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +329,6 @@ def model_loss_step(state: TrainState, ds: Dataset, batch: dict[str, np.ndarray]
         terms.append((h.weight_a if task == "a" else h.weight_b, loss))
 
     kept = [(weight, term) for weight, term in terms if weight != 0]
-    if not kept:
-        raise ConfigError("all loss weights are zero; nothing to train")
     total = ng.weighted_sum([term for _, term in kept], [weight for weight, _ in kept])
     components["model"] = total.item()
 
@@ -567,8 +568,9 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
             if header.get("version") not in READABLE_VERSIONS:
                 raise ConfigError(f"unsupported checkpoint version {header.get('version')!r}")
             cfg = config_from_dict(header["train_config"])
-            state = _build_state(ModelConfig(**header["model_config"]), header["vocab_sizes"],
-                                 header["field_names"], cfg)
+            model_cfg = dict(header["model_config"])
+            model_cfg.pop("activation", None)  # headers from when ModelConfig had this field hold "relu", its one value
+            state = _build_state(ModelConfig(**model_cfg), header["vocab_sizes"], header["field_names"], cfg)
             arrays = _state_arrays(state)
             pairs = {rows_name: pair for rows_name, pair in _moment_pairs(state).items() if rows_name in saved.files}
             if diff := sorted(set(saved.files) ^ {HEADER, *arrays, *pairs}):

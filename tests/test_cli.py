@@ -17,7 +17,7 @@ import pytest
 
 from crossdistil import cli
 from crossdistil.cli import main
-from crossdistil.data import SynthConfig, generate_synthetic
+from crossdistil.data import Dataset, SynthConfig, generate_synthetic, save_csv
 from crossdistil.metrics import label_phi
 from crossdistil.model import ModelConfig
 from crossdistil.training import VARIANTS, load_checkpoint
@@ -471,6 +471,44 @@ def test_non_number_float_field_exits_2_at_load_naming_it(tmp_path, capsys, monk
     monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
     assert main(["train", "--config", path]) == 2
     assert_one_line_error(capsys, f"{name} must be finite")
+
+
+def test_split_column_trains_on_the_rows_tagged_for_each_split(tmp_path):
+    ds, _ = generate_synthetic(SynthConfig(**CONFIG["data"]["synthetic"]), np.random.default_rng(4))
+    tags = np.random.default_rng(5).integers(0, 3, size=len(ds))
+    for t in range(3):  # each split needs both labels of both tasks
+        assert all(0 < y[tags == t].sum() < (tags == t).sum() for y in (ds.y_a, ds.y_b)), t
+    tagged = Dataset(ds.field_names, ds.vocab_sizes, ds.field_ids, ds.y_a, ds.y_b, tags)
+    save_csv(tagged, tmp_path / "data.csv")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**CONFIG, "data": {"path": str(tmp_path / "data.csv")}, "split": {"column": True}}),
+                      encoding="utf-8")
+    run = cli.load_run_config(config)
+    assert run.split == {"column": True}
+    splits = cli.prepare_datasets(run, 0)[:3]
+    for t, split in enumerate(splits):
+        expected = tagged.subset(np.flatnonzero(tags == t))
+        for name in ("field_ids", "y_a", "y_b", "split_tags"):
+            assert getattr(split, name).tobytes() == getattr(expected, name).tobytes(), (t, name)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+
+
+def test_all_zero_loss_weights_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    zero = dict.fromkeys(("weight_a", "weight_b", "weight_a_plus", "weight_b_plus"), 0.0)
+    path = write_config(tmp_path / "cfg.json", hyper=zero)
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    out = tmp_path / "run"
+    assert main(["train", "--config", path, "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "all loss weights are zero; nothing to train (variant 'crossdistil')")
+    assert not (out / "metrics.jsonl").exists()
+
+
+def test_model_activation_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    """The network is a ReLU network; a config that still names ``activation`` fails at load."""
+    path = write_field(tmp_path, "model", "activation", "relu")
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # the config must fail before any data is made
+    assert main(["train", "--config", path]) == 2
+    assert_one_line_error(capsys, "unexpected keyword argument 'activation'")
 
 
 def test_repeated_csv_column_exits_2_at_load(tmp_path, capsys):

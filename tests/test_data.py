@@ -239,6 +239,23 @@ class TestSynthetic:
         output_bytes = ds.field_ids.nbytes + ds.y_a.nbytes + ds.y_b.nbytes + utils.nbytes
         assert peak < 2.8 * output_bytes
 
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_a_rate_that_no_bias_in_range_reaches_is_rejected(self, scale):
+        """So wide a spread of utilities puts more than 30% of the rows above
+        logit 40, so even the lowest bias the bisection tries overshoots."""
+        cfg = SynthConfig(n_users=20, n_items=20, n_samples=500, utility_scale=scale)
+        with pytest.raises(ConfigError, match=r"^positive rate 0\.3 unreachable for this utility distribution$"):
+            generate_synthetic(cfg, np.random.default_rng(0))
+
+    def test_one_row_has_zero_spread_and_its_utilities_are_the_biases(self):
+        """One row's utilities have no spread to standardize, so both become 0
+        and each task's utility is its fitted bias, the logit of its rate."""
+        ds, utils = generate_synthetic(SynthConfig(n_users=3, n_items=3, n_samples=1), np.random.default_rng(0))
+        assert len(ds) == 1 and utils.shape == (1, 2)
+        for u, rate in zip(utils[0], (0.3, 0.25)):
+            assert abs(1.0 / (1.0 + np.exp(-u)) - rate) < 5e-5  # the bisection's tolerance on the rate
+            assert abs(u - np.log(rate / (1.0 - rate))) < 1e-3
+
     def test_bad_rho_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(rho=1.5)

@@ -257,6 +257,18 @@ class TestClassOf:
         for hi, lo in RANKED[task]:
             assert classes[part[hi]].min() > classes[part[lo]].max(), (hi, lo)
 
+    @pytest.mark.parametrize("task", ["a", "b"])
+    def test_the_upper_two_classes_are_the_union_the_teacher_ranks_first(self, task):
+        """``task_aucs`` reads classes 2 and 3 as the task's positives. They must
+        be the rows with the task's label 1, and the positive union that the first
+        pair of ``RANKED[task]`` ranks above its negative union."""
+        ya, yb = np.array([1, 1, 0, 0]), np.array([1, 0, 1, 0])
+        part = partition(Dataset(("x",), (1,), np.zeros((4, 1), dtype=np.int64), ya, yb))
+        classes = class_of(ya, yb, task)
+        pos, neg = RANKED[task][0]
+        assert sorted(classes[part[pos]]) == [2, 3] and sorted(classes[part[neg]]) == [0, 1]
+        np.testing.assert_array_equal(classes >= 2, (ya if task == "a" else yb) == 1)
+
 
 class TestLabelPhi:
     @pytest.mark.parametrize("p_b", [0.1, 0.5, 0.9])

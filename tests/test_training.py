@@ -119,6 +119,7 @@ def test_checkpoint_with_a_damaged_array_is_rejected(datasets, tmp_path, damage)
     ({"step": True}, "must be nonnegative integers, got {'step': True}"),
     ({"adam_t": {"opt_model": 1, "opt_calibration": -1}}, "got {'adam_t.opt_calibration': -1}"),
     ({"adam_t": {"opt_model": 1.0, "opt_calibration": 1}}, "got {'adam_t.opt_model': 1.0}"),
+    ({"version": 99}, "unsupported checkpoint version 99"),
 ])
 def test_checkpoint_with_a_damaged_header_is_rejected(datasets, tmp_path, header, says):
     """A header that is not an object, or a step count that ``int()`` would
@@ -157,6 +158,33 @@ def test_compact_and_version_2_checkpoints_load_bit_exact(datasets, tmp_path):
         assert param_bytes(loaded) == param_bytes(state)
         assert adam_slots(loaded) == adam_slots(state)
         assert rng_states(loaded) == rng_states(state)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_a_header_with_the_activation_field_loads_bit_exact(datasets, tmp_path, backbone):
+    """Every checkpoint written while ``ModelConfig`` had an ``activation``
+    field holds ``"activation": "relu"`` in its header's ``model_config``,
+    after ``n_experts``; such a file still loads to the saved state."""
+    model_cfg = ModelConfig(backbone=backbone, **{**MODEL, "hidden_sizes": (8, 4)}, tower_hidden=(3,), n_experts=3)
+    cfg = T.TrainConfig(optimizer="adam", batch_size=16, steps=2, eval_interval=2, seed=8)
+    state, _ = T.train(*datasets, model_cfg, cfg)
+    path = tmp_path / "old.ckpt"
+    T.save_checkpoint(path, state, cfg)
+    with np.load(path) as z:
+        members = dict(z)
+    header = json.loads(str(members[T.HEADER]))
+    fields = list(header["model_config"].items())
+    at = [name for name, _ in fields].index("n_experts") + 1
+    header["model_config"] = dict(fields[:at] + [("activation", "relu")] + fields[at:])
+    members[T.HEADER] = np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+    loaded, loaded_cfg = T.load_checkpoint(path)
+    assert loaded_cfg == cfg and loaded.net.cfg == model_cfg and loaded.step == state.step == 2
+    assert param_bytes(loaded) == param_bytes(state)
+    assert adam_slots(loaded) == adam_slots(state)
+    assert rng_states(loaded) == rng_states(state)
 
 
 @pytest.mark.parametrize("shape, zero_rows, compact", [
@@ -220,13 +248,13 @@ def test_calibration_step_leaves_model_parameters(datasets, backbone):
     part = partition(train_ds)
     wiring = T.apply_variant(cfg.variant)
     T.train_step(state, train_ds, part, cfg, wiring)
-    net_before = [t.values.tobytes() for t in state.net.parameters()]
-    cal_before = [t.values.tobytes() for t in state.calibration.parameters()]
+    net_before = [t.values.tobytes() for t in state.net.params.values()]
+    cal_before = [t.values.tobytes() for t in state.calibration.params.values()]
 
     T.calibration_step(state, train_ds, T.sample_step_batch(state, part, len(train_ds), cfg, wiring))
 
-    assert [t.values.tobytes() for t in state.net.parameters()] == net_before
-    assert [t.values.tobytes() for t in state.calibration.parameters()] != cal_before
+    assert [t.values.tobytes() for t in state.net.params.values()] == net_before
+    assert [t.values.tobytes() for t in state.calibration.params.values()] != cal_before
 
 
 @pytest.mark.parametrize("variant", DISTILLING)
@@ -509,6 +537,24 @@ def test_adam_overflow_aborts_training_naming_the_step(datasets):
     state = T.init_state(ModelConfig(**MODEL), train_ds, cfg)
     with pytest.raises(TrainingAborted, match=r"^step 1: non-finite Adam second moment of parameter 'emb\."):
         T.train_step(state, train_ds, partition(train_ds), cfg, T.apply_variant(cfg.variant))
+
+
+def test_all_zero_loss_weights_are_rejected_by_the_config():
+    """``backbone`` trains only its students, so with both student weights at 0
+    it has nothing to train, whatever the teacher weights; ``taug`` still
+    trains its teachers. The check names the variant."""
+    students_off = HyperParams(weight_a=0.0, weight_b=0.0)
+    with pytest.raises(ConfigError, match=r"^all loss weights are zero; nothing to train \(variant 'backbone'\)$"):
+        T.TrainConfig(variant="backbone", hyper=students_off)
+    assert T.TrainConfig(variant="taug", hyper=students_off).hyper == students_off
+    with pytest.raises(ConfigError, match="variant 'taug'"):
+        T.TrainConfig(variant="taug", hyper=replace(students_off, weight_a_plus=0.0, weight_b_plus=0.0))
+
+
+def test_an_empty_training_split_is_rejected(datasets):
+    train_ds, eval_ds = datasets
+    with pytest.raises(ConfigError, match="^training dataset is empty$"):
+        T.train(train_ds.subset(np.arange(0)), eval_ds, ModelConfig(**MODEL), T.TrainConfig(steps=1))
 
 
 def test_repeated_field_names_are_rejected_at_init_state():

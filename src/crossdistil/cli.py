@@ -54,7 +54,7 @@ from .data import (
     split_by_column,
     split_dataset,
 )
-from .errors import ConfigError, CrossDistilError, require_object
+from .errors import ConfigError, CrossDistilError, require_keys
 from .metrics import label_phi
 from .model import ModelConfig
 from .training import VARIANTS, TrainConfig, config_from_dict, evaluate, load_checkpoint, save_checkpoint, train
@@ -86,27 +86,23 @@ class RunConfig:
     seeds: tuple[int, ...]
 
 
-def _check_keys(section, known, where: str = "") -> None:
-    """Raise unless ``section`` is a dict whose keys are all in ``known``; ``where`` prefixes key names."""
-    for key in require_object(section, where.rstrip(".")):
-        if key not in known:
-            raise ConfigError(f"unknown config key '{where}{key}', expected one of {known}")
-
-
 def _build_run_config(raw: dict) -> RunConfig:
-    _check_keys(raw, ("data", "split", "model", "train", "seeds"))
+    require_keys(raw, ("data", "split", "model", "train", "seeds"))
     data = raw.get("data", {})
-    _check_keys(data, ("path", "synthetic"), "data.")
+    require_keys(data, ("path", "synthetic"), "data.")
     path = data.get("path")
     synth_raw = data.get("synthetic")
     if (path is None) == (synth_raw is None):
         raise ConfigError("config data section needs exactly one of 'path' or 'synthetic'")
     if path is not None and not (isinstance(path, str) and path):
         raise ConfigError(f"config data.path must be a nonempty string, got {path!r}")
-    data = {"synthetic": SynthConfig(**require_object(synth_raw, "data.synthetic"))} if path is None else {"path": path}
+    if path is None:
+        data = {"synthetic": SynthConfig(**require_keys(synth_raw, SynthConfig, "data.synthetic."))}
+    else:
+        data = {"path": path}
 
     split = raw.get("split", {})
-    _check_keys(split, ("fractions", "column"), "split.")
+    require_keys(split, ("fractions", "column"), "split.")
     column = split.get("column", False)
     if not isinstance(column, bool):
         raise ConfigError(f"config split.column must be true or false, got {column!r}")
@@ -119,7 +115,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     else:
         split = {"fractions": check_fractions(split.get("fractions", [0.8, 0.1, 0.1]))}
 
-    model = ModelConfig(**require_object(raw.get("model", {}), "model"))
+    model = ModelConfig(**require_keys(raw.get("model", {}), ModelConfig, "model."))
 
     train_cfg = config_from_dict(raw.get("train", {}))
     seeds = raw.get("seeds", [0, 1, 2])

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the object, integer, finite and positive checks of config fields."""
+"""Exception types shared across the package, and the key, integer, finite and positive checks of config sections."""
 
 import math
+from dataclasses import fields, is_dataclass
 from numbers import Integral, Real
 
 
@@ -24,10 +25,16 @@ class ConfigError(CrossDistilError):
     """A configuration value is outside its allowed range."""
 
 
-def require_object(section, where: str) -> dict:
-    """Return ``section`` if it is a dict; else raise naming the config section ``where``."""
+def require_keys(section, known, where: str = "") -> dict:
+    """Return ``section`` if it is a dict whose keys are all in ``known``, a tuple of names or a
+    dataclass whose field names they must be; else raise naming the section or key after ``where``."""
     if not isinstance(section, dict):
-        raise ConfigError(f"config {where} must be a JSON object, got {section!r}")
+        raise ConfigError(f"config {where.rstrip('.')} must be a JSON object, got {section!r}")
+    if is_dataclass(known):
+        known = tuple(f.name for f in fields(known))
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key '{where}{key}', expected one of {known}")
     return section
 
 

@@ -14,9 +14,9 @@ The forward is built from ``numgrad``'s fused layer ops: one ``gather_cols``
 node for the embedding lookup of all fields, and one ``linear`` node per
 dense layer (trunk, expert, gate logits and tower layers).
 
-Each trainable tensor is named where it is drawn (``emb.user``, ``expert.2.0.w``,
-``gate.a.b``, ``tower.a_plus.1.w``, ...) and kept in draw order in ``MultiTaskNet.params``;
-these names are the checkpoint member names and the Adam ``m``/``v`` keys.
+Each trainable tensor is named where it is drawn (``emb.user``, ``expert.2.0.w``, ``gate.a.b``,
+``tower.a_plus.1.w``, ...) and held only in ``MultiTaskNet.params``, in draw order: ``forward`` reads
+each layer there by its name, and the names are the checkpoint member names and the Adam ``m``/``v`` keys.
 """
 
 from __future__ import annotations
@@ -60,16 +60,13 @@ class ModelConfig:
         object.__setattr__(self, "tower_hidden", tuple(int(h) for h in self.tower_hidden))
 
 
-def _mlp(params: dict[str, Tensor], prefix: str, rng, sizes: list[int], scale: float) -> list[tuple[Tensor, Tensor]]:
-    """Trainable (weight, bias) pairs of an MLP, drawn uniformly in +-scale/sqrt(fan_in),
-    weight before bias, layer by layer, into ``params`` as ``<prefix>.<layer>.w`` and ``.b``."""
-    layers = []
+def _mlp(params: dict[str, Tensor], prefix: str, rng, sizes: list[int], scale: float) -> None:
+    """Draw an MLP's trainable weights uniformly in +-scale/sqrt(fan_in), weight before bias,
+    layer by layer, into ``params`` as ``<prefix>.<layer>.w`` and ``.b``."""
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         s = scale / np.sqrt(fan_in)
-        w = params[f"{prefix}.{i}.w"] = Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True)
-        b = params[f"{prefix}.{i}.b"] = Tensor(rng.uniform(-s, s, size=(1, fan_out)), requires_grad=True)
-        layers.append((w, b))
-    return layers
+        params[f"{prefix}.{i}.w"] = Tensor(rng.uniform(-s, s, size=(fan_in, fan_out)), requires_grad=True)
+        params[f"{prefix}.{i}.b"] = Tensor(rng.uniform(-s, s, size=(1, fan_out)), requires_grad=True)
 
 
 class MultiTaskNet:
@@ -92,29 +89,21 @@ class MultiTaskNet:
         emb_scale = cfg.init_scale / np.sqrt(d)
         for name, v in zip(self.field_names, self.vocab_sizes):
             self.params[f"emb.{name}"] = Tensor(rng.uniform(-emb_scale, emb_scale, size=(v, d)), requires_grad=True)
-        self.embeddings = list(self.params.values())
         in_dim = d * len(self.vocab_sizes)
 
         if cfg.backbone == "shared_bottom":
-            self.trunk = _mlp(self.params, "trunk", rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
+            _mlp(self.params, "trunk", rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
         else:
             # shared experts plus one private expert per task; gates start at
             # zero so the initial mixture is exactly uniform
-            self.experts = [
+            for e in range(cfg.n_experts + 2):  # last two are private to a, b
                 _mlp(self.params, f"expert.{e}", rng, [in_dim, *cfg.hidden_sizes], cfg.init_scale)
-                for e in range(cfg.n_experts + 2)  # last two are private to a, b
-            ]
-            mix_width = cfg.n_experts + 1
-            self.gates = {}
             for task in TASKS:
-                w = self.params[f"gate.{task}.w"] = Tensor(np.zeros((in_dim, mix_width)), requires_grad=True)
-                b = self.params[f"gate.{task}.b"] = Tensor(np.zeros((1, mix_width)), requires_grad=True)
-                self.gates[task] = (w, b)
+                self.params[f"gate.{task}.w"] = Tensor(np.zeros((in_dim, cfg.n_experts + 1)), requires_grad=True)
+                self.params[f"gate.{task}.b"] = Tensor(np.zeros((1, cfg.n_experts + 1)), requires_grad=True)
 
-        self.towers = {
-            head: _mlp(self.params, f"tower.{head}", rng, [cfg.hidden_sizes[-1], *cfg.tower_hidden, 1], cfg.init_scale)
-            for head in HEADS
-        }
+        for head in HEADS:
+            _mlp(self.params, f"tower.{head}", rng, [cfg.hidden_sizes[-1], *cfg.tower_hidden, 1], cfg.init_scale)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -140,20 +129,20 @@ class MultiTaskNet:
                 raise UsageError(f"field '{name}': id {bad} out of range [0, {vocab})")
 
     def _embed(self, ids: np.ndarray) -> Tensor:
-        return ng.gather_cols(self.embeddings, ids)
+        return ng.gather_cols([self.params[f"emb.{name}"] for name in self.field_names], ids)
 
-    @staticmethod
-    def _run_mlp(x: Tensor, layers, final_linear: bool) -> Tensor:
-        last = len(layers) - 1
-        for i, (w, b) in enumerate(layers):
-            x = ng.linear(x, w, b, relu=not (final_linear and i == last))
+    def _run_mlp(self, x: Tensor, prefix: str, tower: bool = False) -> Tensor:
+        """Run the layers ``<prefix>.<i>``: a backbone MLP of ``hidden_sizes`` with a ReLU after
+        every layer, or a tower of ``tower_hidden`` and then one linear output layer."""
+        p, depth = self.params, (len(self.cfg.tower_hidden) + 1 if tower else len(self.cfg.hidden_sizes))
+        for i in range(depth):
+            x = ng.linear(x, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"], relu=not (tower and i == depth - 1))
         return x
 
     def _mixture(self, x: Tensor, shared: list[Tensor], task: str) -> Tensor:
         """Gate ``task``'s mix of the shared expert outputs and its private expert."""
-        private = self._run_mlp(x, self.experts[self.cfg.n_experts + TASKS.index(task)], final_linear=False)
-        w, b = self.gates[task]
-        weights = ng.row_softmax(ng.linear(x, w, b))
+        private = self._run_mlp(x, f"expert.{self.cfg.n_experts + TASKS.index(task)}")
+        weights = ng.row_softmax(ng.linear(x, self.params[f"gate.{task}.w"], self.params[f"gate.{task}.b"]))
         return ng.row_mix(weights, *shared, private)
 
     def forward(self, field_ids, heads=HEADS) -> dict[str, Tensor]:
@@ -169,11 +158,10 @@ class MultiTaskNet:
         x = self._embed(ids)
         task_of = {head: head.removesuffix("_plus") for head in heads}
         if self.cfg.backbone == "shared_bottom":
-            h = self._run_mlp(x, self.trunk, final_linear=False)
+            h = self._run_mlp(x, "trunk")
             inputs = {task: h for task in TASKS}
         else:
-            shared = [self._run_mlp(x, layers, final_linear=False) for layers in self.experts[: self.cfg.n_experts]]
+            shared = [self._run_mlp(x, f"expert.{e}") for e in range(self.cfg.n_experts)]
             inputs = {task: self._mixture(x, shared, task) for task in TASKS if task in task_of.values()}
-        return {head: self._run_mlp(inputs[task], self.towers[head], final_linear=True)
-                for head, task in task_of.items()}
+        return {head: self._run_mlp(inputs[task], f"tower.{head}", tower=True) for head, task in task_of.items()}
 

@@ -70,7 +70,7 @@ from . import losses as L
 from . import metrics as M
 from . import numgrad as ng
 from .data import PAIRS, QUADS, RANKED, Dataset, LabelPartition, partition, sample
-from .errors import (ConfigError, DegenerateLabels, NumericError, TrainingAborted, require_ints, require_object,
+from .errors import (ConfigError, DegenerateLabels, NumericError, TrainingAborted, require_ints, require_keys,
                      require_positive)
 from .losses import CalibrationParams, HyperParams
 from .model import HEADS, TASKS, TEACHERS, ModelConfig, MultiTaskNet
@@ -140,25 +140,27 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+def _rows_and_grad(p: Tensor, weight_decay: float) -> tuple[slice | np.ndarray, np.ndarray]:
+    """The rows of ``p`` a step updates, and their gradient: the recorded ``grad_rows`` alone without
+    weight decay (every other row has a zero gradient, so the step keeps the dense step's bits), else
+    every row, with classic L2 weight decay added to the grad."""
+    if weight_decay:
+        return slice(None), p.grad + weight_decay * p.values
+    rows = slice(None) if p.grad_rows is None else p.grad_rows
+    return rows, p.grad[rows]
+
+
 class Sgd:
-    """Plain gradient descent with optional L2 weight decay folded into the grad.
+    """Plain gradient descent over the name -> tensor dict ``params``, on the rows ``_rows_and_grad`` picks."""
 
-    Without weight decay a parameter whose ``grad_rows`` are recorded is
-    updated on those rows only, which gives the dense step's bits: every other
-    row has a zero gradient. Weight decay moves every row, so it stays dense.
-    """
-
-    def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
-        self.named_params = list(named_params)
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
+        self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
 
     def step(self):
-        for _, p in self.named_params:
-            rows = slice(None) if self.weight_decay or p.grad_rows is None else p.grad_rows
-            g = p.grad[rows]
-            if self.weight_decay:
-                g = g + self.weight_decay * p.values
+        for p in self.params.values():
+            rows, g = _rows_and_grad(p, self.weight_decay)
             p.values[rows] -= self.lr * g
 
 
@@ -166,42 +168,38 @@ ADAM_BLOCK = 1 << 16  # elements per block of Adam's update; blocks of 32k to 12
 
 
 class Adam:
-    """Adam with bias correction; weight decay is classic L2 added to the grad.
+    """Adam with bias correction over the name -> tensor dict ``params``; moments ``m`` and ``v`` share its keys.
 
-    Both moments decay over the whole table every step, but without weight
-    decay the gradient terms are added on the recorded ``grad_rows`` only, and
-    the update runs in place over blocks of rows, with two temporaries of at
-    most ``ADAM_BLOCK`` elements (or one row, if wider) each. Parameters and
-    ``v`` get the dense step's bits; ``m`` gets its numbers, except that a
-    moment decayed to -0.0 keeps its sign where adding a zero gradient would
-    make it +0.0. Weight decay gives every row a gradient, so it stays dense.
-    A gradient whose square overflows raises ``NumericError``; only the
-    updated rows of ``v`` are checked.
+    Both moments decay over the whole table every step, but the gradient terms
+    are added on the rows ``_rows_and_grad`` picks only, and the update runs in
+    place over blocks of rows, with two temporaries of at most ``ADAM_BLOCK``
+    elements (or one row, if wider) each. Parameters and ``v`` get the dense
+    step's bits; ``m`` gets its numbers, except that a moment decayed to -0.0
+    keeps its sign where adding a zero gradient would make it +0.0. A gradient
+    whose square overflows raises ``NumericError``; only the updated rows of
+    ``v`` are checked.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
-        self.named_params = list(named_params)
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
+        self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros(p.shape) for name, p in self.named_params}
-        self.v = {name: np.zeros(p.shape) for name, p in self.named_params}
+        self.m = {name: np.zeros(p.shape) for name, p in params.items()}
+        self.v = {name: np.zeros(p.shape) for name, p in params.items()}
 
     def step(self):
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in self.named_params:
+        for name, p in self.params.items():
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
             v *= self.beta2
-            rows = slice(None) if self.weight_decay or p.grad_rows is None else p.grad_rows
-            g = p.grad[rows]
-            if self.weight_decay:
-                g = g + self.weight_decay * p.values
+            rows, g = _rows_and_grad(p, self.weight_decay)
             m[rows] += (1.0 - self.beta1) * g
             v[rows] += (1.0 - self.beta2) * g * g
             if not np.isfinite(v[rows]).all():  # an inf v would freeze the entry: its updates become m / inf = 0
@@ -251,8 +249,8 @@ def _build_state(model_cfg: ModelConfig, vocab_sizes, field_names, cfg: TrainCon
     return TrainState(
         net=net,
         calibration=cal,
-        opt_model=OPTIMIZERS[cfg.optimizer](net.named_parameters(), cfg.gamma1, cfg.hyper.weight_decay),
-        opt_calibration=OPTIMIZERS[cfg.optimizer](cal.named_parameters(), cfg.gamma2, 0.0),
+        opt_model=OPTIMIZERS[cfg.optimizer](net.params, cfg.gamma1, cfg.hyper.weight_decay),
+        opt_calibration=OPTIMIZERS[cfg.optimizer](cal.params, cfg.gamma2, 0.0),
         step=0,
         rng_records=np.random.default_rng(seeds[0]),
         rng_quads=np.random.default_rng(seeds[1]),
@@ -465,7 +463,7 @@ MEMBER_BYTES = 300
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    hyper = require_object(require_object(d, "train").get("hyper", {}), "train.hyper")
+    hyper = require_keys(require_keys(d, TrainConfig, "train.").get("hyper", {}), HyperParams, "train.hyper.")
     return TrainConfig(**{**d, "hyper": HyperParams(**hyper)})
 
 
@@ -476,8 +474,7 @@ def _adams(state: TrainState) -> dict[str, Adam]:
 
 def _state_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every float64 array of a state under its checkpoint name, as live buffers."""
-    params = state.net.named_parameters() + state.calibration.named_parameters()
-    arrays = {name: t.values for name, t in params}
+    arrays = {name: t.values for name, t in {**state.net.params, **state.calibration.params}.items()}
     for part, opt in _adams(state).items():
         for slot in ("m", "v"):
             arrays.update((f"{part}.{slot}.{name}", a) for name, a in getattr(opt, slot).items())
@@ -514,7 +511,7 @@ def save_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
     """Write the full training state to exactly ``path`` as one uncompressed npz.
 
     Arrays are stored as raw float64 bytes: the net and Platt parameters
-    under their ``named_parameters()`` names (``emb.user``, ``tower.a.0.w``,
+    under their ``params`` names (``emb.user``, ``tower.a.0.w``,
     ``cal.rho_a``, ...) and each Adam moment as ``opt_model.m.<name>``,
     ``opt_calibration.v.<name>`` and so on. A moment pair whose all-zero rows
     outweigh a rows member (16 B per column of each such row against 8 B per

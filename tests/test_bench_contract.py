@@ -6,20 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-from crossdistil import cli, numgrad, training
+from crossdistil import cli, losses, model, numgrad, training
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_traced_name_is_defined_where_the_tracer_replaces_it(monkeypatch):
     """The tracer swaps ``owner.__dict__[attr]`` for each of its targets, the op
-    counter and the checkpoint JSON shim; a renamed one fails here, not only
-    in the self-test's subprocess."""
+    counter and the checkpoint JSON shim, and ``bench/`` is the only caller of
+    the parameter accessors; a renamed one fails here, not only in the
+    self-test's subprocess."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import layertrace
 
     targets = [(owner, attr) for owner, attr, _ in layertrace._TARGETS]
     targets += [(numgrad, "_make"), (numgrad.Tensor, "__init__"), (training, "json")]
+    targets += [(model.MultiTaskNet, "named_parameters"), (model.MultiTaskNet, "n_parameters"),
+                (losses.CalibrationParams, "named_parameters")]
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in targets if attr not in vars(owner)]
     assert not missing
 

@@ -9,6 +9,7 @@ from conftest import finite_difference, grad_close, tiny_net
 from crossdistil import numgrad as ng
 from crossdistil.errors import ConfigError, UsageError
 from crossdistil.model import HEADS, ModelConfig, MultiTaskNet
+from crossdistil.numgrad import Tensor
 
 
 class TestInit:
@@ -40,7 +41,7 @@ class TestInit:
         net = tiny_net(backbone="gated_experts")
         ids = rng.integers(0, 3, size=(6, 3))
         x = net._embed(np.asarray(ids))
-        w, b = net.gates["a"]
+        w, b = net.params["gate.a.w"], net.params["gate.a.b"]
         weights = ng.row_softmax(ng.add(ng.matmul(x, w), b))
         np.testing.assert_allclose(weights.values, 1.0 / 3.0, atol=1e-15)
 
@@ -166,7 +167,7 @@ class TestForward:
 
         net.zero_grad()
         ng.backward(loss())
-        table = net.embeddings[0]
+        table = net.params["emb.u"]
         used = np.unique(ids[:, 0])
         for row in used[:2]:
             for col in range(table.shape[1]):
@@ -187,5 +188,25 @@ class TestGradientIsolation:
             for p in towers[head]:
                 assert np.all(p.grad == 0.0)
         assert any(np.abs(p.grad).sum() > 0 for p in towers["a"])
-        assert any(np.abs(t.grad).sum() > 0 for t in net.embeddings)
+        assert any(np.abs(t.grad).sum() > 0 for name, t in net.params.items() if name.startswith("emb."))
 
+
+@pytest.mark.parametrize("backbone", ["shared_bottom", "gated_experts"])
+def test_params_is_the_only_parameter_store(backbone, rng):
+    """Fresh tensors put under every name of ``params`` carry the whole forward
+    and take every gradient; the tensors they replace take none."""
+    net = tiny_net(backbone=backbone, tower_hidden=(3,))
+    ids = rng.integers(0, 3, size=(6, 3))
+    before = {head: t.values.tobytes() for head, t in net.forward(ids).items()}
+    originals = dict(net.params)
+    for name, t in originals.items():
+        net.params[name] = Tensor(t.values.copy(), requires_grad=True)
+    heads = net.forward(ids)
+    assert {head: t.values.tobytes() for head, t in heads.items()} == before
+    total = heads[HEADS[0]]
+    for head in HEADS[1:]:
+        total = ng.add(total, heads[head])
+    ng.backward(ng.reduce_sum(total))
+    for name, t in net.params.items():
+        assert t is not originals[name] and t.grad.any(), name
+        assert not originals[name].grad.any(), name

@@ -35,7 +35,7 @@ def dense_zero_grad(t):
 
 
 def dense_sgd_step(opt):
-    for _, p in opt.named_params:
+    for p in opt.params.values():
         g = p.grad
         if opt.weight_decay:
             g = g + opt.weight_decay * p.values
@@ -46,7 +46,7 @@ def dense_adam_step(opt):
     opt.t += 1
     c1 = 1.0 - opt.beta1**opt.t
     c2 = 1.0 - opt.beta2**opt.t
-    for name, p in opt.named_params:
+    for name, p in opt.params.items():
         g = p.grad
         if opt.weight_decay:
             g = g + opt.weight_decay * p.values
@@ -104,7 +104,7 @@ def test_steps_match_the_dense_path_bit_for_bit(kind, weight_decay):
     for rows in (ROWS, 3 * ADAM_BLOCK // DIM + 5):
         sparse, dense = make_params(rows), make_params(rows)
         cls, dense_step = (Sgd, dense_sgd_step) if kind == "sgd" else (Adam, dense_adam_step)
-        opt, ref = cls(sparse, 0.05, weight_decay), cls(dense, 0.05, weight_decay)
+        opt, ref = cls(dict(sparse), 0.05, weight_decay), cls(dict(dense), 0.05, weight_decay)
         rng = np.random.default_rng(1)
         for _ in range(20):
             gathers = step_gathers(rng, rows)
@@ -192,7 +192,7 @@ def test_sparse_sgd_step_allocates_nothing_table_sized():
 
     def step():
         ng.backward(loss)
-        Sgd([("emb", table)], 0.1).step()
+        Sgd({"emb": table}, 0.1).step()
         table.zero_grad()
 
     assert peak_traced_bytes(step) < 2**20
@@ -202,6 +202,6 @@ def test_sparse_sgd_step_allocates_nothing_table_sized():
 def test_adam_step_allocates_nothing_table_sized():
     """The update's two temporaries span one block of rows, not the table."""
     table, loss = big_gather(250_000)  # 16 MB
-    opt = Adam([("emb", table)], 0.1)
+    opt = Adam({"emb": table}, 0.1)
     ng.backward(loss)
     assert peak_traced_bytes(opt.step) < 2**21

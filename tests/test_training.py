@@ -326,7 +326,7 @@ def test_model_objective_gradient_matches_finite_difference(monkeypatch, backbon
                  np.column_stack([rng.integers(0, v, size=48) for v in net.vocab_sizes]), labels // 2, labels % 2)
     cal = CalibrationParams()
     spawned = [np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(3)]
-    state = T.TrainState(net, cal, T.Sgd(net.named_parameters(), 0.0), T.Sgd(cal.named_parameters(), 0.0), 0,
+    state = T.TrainState(net, cal, T.Sgd(net.params, 0.0), T.Sgd(cal.params, 0.0), 0,
                          *spawned)
     cfg = T.TrainConfig(batch_size=6, variant=variant)
     wiring = T.apply_variant(variant)
@@ -525,7 +525,7 @@ def test_adam_rejects_a_gradient_whose_square_overflows():
     """An infinite second moment would freeze the entry: every later update is m / inf = 0."""
     p = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     p.grad[...] = [[1e160, 1.0]]
-    opt = T.Adam([("w", p)], 0.1)
+    opt = T.Adam({"w": p}, 0.1)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="second moment of parameter 'w'"):
         opt.step()
 
@@ -651,9 +651,9 @@ def test_a_non_finite_forward_raises_naming_the_op(datasets, backbone, poisoned,
     ids[:, 0] = np.arange(len(eval_ds)) // CHUNK == (len(eval_ds) - 1) // CHUNK  # id 1 of the first field in the last chunk only
     eval_ds = Dataset(eval_ds.field_names, eval_ds.vocab_sizes, ids, eval_ds.y_a, eval_ds.y_b)
     if poisoned == "last_chunk_rows":
-        net.embeddings[0].values[1, 0] = np.nan
+        net.params[f"emb.{net.field_names[0]}"].values[1, 0] = np.nan
     else:
-        net.towers["a"][0][0].values[0, 0] = np.inf
+        net.params["tower.a.0.w"].values[0, 0] = np.inf
     with np.errstate(invalid="ignore", over="ignore"), \
             pytest.raises(NumericError, match=f"^non-finite output in op '{op}'$"):
         T._forward_values(net, eval_ds, CHUNK)

@@ -30,6 +30,7 @@ from .numgrad import sigmoid_values as _sigmoid
 SPLIT_TAGS = ("train", "valid", "test")
 # rows per block of the synthetic generator's row-wise passes, which bounds their temporaries
 _BLOCK_ROWS = 1 << 15
+_BIAS_BINS = 1 << 14  # equal-width bins of z behind the bias bisection's rate bounds
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -74,12 +75,9 @@ class Dataset:
         if ids.size:
             if ids.min() < 0:
                 raise ConfigError("feature ids must be nonnegative")
-            for f, name in enumerate(self.field_names):
-                top = int(ids[:, f].max())
-                if self.vocab_sizes[f] < top + 1:
-                    raise ConfigError(
-                        f"field '{name}': vocabulary size {self.vocab_sizes[f]} < 1 + max id {top}"
-                    )
+            for name, vocab, top in zip(self.field_names, self.vocab_sizes, ids.max(axis=0).tolist()):
+                if vocab < top + 1:
+                    raise ConfigError(f"field '{name}': vocabulary size {vocab} < 1 + max id {top}")
         object.__setattr__(self, "field_ids", _read_only(ids))
         object.__setattr__(self, "y_a", _read_only(ya))
         object.__setattr__(self, "y_b", _read_only(yb))
@@ -198,7 +196,7 @@ def load_csv(path) -> Dataset:
     ids = np.asarray(ids_rows, dtype=np.int64).reshape(n, len(field_names))
     if n and ids.min() < 0:
         raise DataError(f"{path}: negative feature id")
-    vocab = tuple(int(ids[:, f].max()) + 1 if n else 1 for f in range(len(field_names)))
+    vocab = tuple((ids.max(axis=0) + 1).tolist()) if n else (1,) * len(field_names)
     return Dataset(
         field_names,
         vocab,
@@ -270,7 +268,8 @@ class SynthConfig:
     a standardized user-item dot product (plus per-id context offsets), and
     task B mixes that same signal with an independent one at correlation
     ``rho``. Labels are Bernoulli draws through a sigmoid whose bias is
-    bisected until the expected positive rate hits ``rate_a``/``rate_b``.
+    bisected until the expected positive rate hits ``rate_a``/``rate_b``;
+    binned bounds on that rate decide most steps without a pass over the rows.
     """
 
     n_users: int = 300
@@ -310,18 +309,47 @@ class SynthConfig:
 def _fit_bias(z: np.ndarray, target: float, max_iter: int = 200, tol: float = 5e-5) -> float:
     """Bisect b so that mean(sigmoid(z + b)) hits the target rate.
 
-    Each pass writes sigmoid(z + b) into one reused buffer, ``_BLOCK_ROWS``
-    rows at a time, and takes the mean of the whole buffer: the sigmoid works
-    element by element, so the rates have the bits of one full-length pass,
-    while a pass's temporaries stay within a few blocks of rows.
+    Each step first makes its tests (``< target``, ``> target``, within
+    ``tol``) at both ends of a bound on the rate: z's counts in
+    ``_BIAS_BINS`` equal-width bins times the sigmoid of the bin edges,
+    widened by 1e-9 of z's scale, less and plus a slack of 1e-9. Each test
+    is a monotone step on either side of the target, so where the two ends
+    agree the rate agrees; only the other steps take an exact pass, and b
+    has the bits of a bisection made of exact passes alone. The bounds hold
+    for the computed rate: rounding is monotone, so fl(z + b) lies between
+    its bin's fl(edge + b); both sigmoids are within a few ulps of the real,
+    monotone one; the mean and the dot products are off by about log2(n)
+    and 2^14 ulps; and the widening covers the rounding of the bin index,
+    all far below the slack. An exact pass fills one reused buffer
+    ``_BLOCK_ROWS`` rows at a time: the sigmoid works element by element,
+    so its mean has the bits of one full-length pass.
     """
     buf = np.empty_like(z)
 
-    def rate_at(b: float) -> float:
+    def exact_rate(b: float) -> float:
         for start in range(0, z.size, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             buf[rows] = _sigmoid(z[rows] + b)
         return buf.mean()
+
+    z_min, z_max = z.min(initial=np.inf), z.max(initial=-np.inf)
+    width, counts = (z_max - z_min) / _BIAS_BINS, None
+    if np.isfinite(width):  # else (non-finite or empty z) every pass is exact
+        counts = np.zeros(_BIAS_BINS)
+        for start in range(0, z.size, _BLOCK_ROWS):
+            bins = ((z[start : start + _BLOCK_ROWS] - z_min) / (width or 1.0)).astype(np.intp)
+            counts += np.bincount(np.minimum(bins, _BIAS_BINS - 1), minlength=_BIAS_BINS)
+        edges = z_min + width * np.arange(_BIAS_BINS + 1)
+        widen = 1e-9 * max(-z_min, z_max) + 1e-300  # the absolute term covers a subnormal width
+        sides = ((edges[:-1] - widen, -1e-9), (edges[1:] + widen, 1e-9))  # (edges, slack) of each bound
+
+    def rate_at(b: float) -> float:
+        """The exact rate at b, or a bound on it that every test below decides the same way."""
+        if counts is None:
+            return exact_rate(b)
+        low, high = (counts @ (0.5 + 0.5 * np.tanh(0.5 * (e + b))) / z.size + slack for e, slack in sides)
+        tests = lambda r: (r < target, r > target, abs(r - target) < tol)
+        return low if tests(low) == tests(high) else exact_rate(b)
 
     lo, hi = -40.0, 40.0
     if rate_at(lo) > target or rate_at(hi) < target:
@@ -363,8 +391,9 @@ def generate_synthetic(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Data
     The utilities returned are the final logits (bias included); their order
     is the oracle ranking used by the end-to-end checks. The latent dot
     products and the bias bisection run ``_BLOCK_ROWS`` rows at a time, so no
-    temporary holds more than a block of (row, latent) products; the result
-    has the bits of the unblocked formulas.
+    temporary holds more than a block of (row, latent) products, and the
+    bisection makes an exact pass only at the steps its rate bounds leave
+    open; the result has the bits of the unblocked formulas.
     """
     n, d = cfg.n_samples, cfg.latent_dim
     users = rng.integers(0, cfg.n_users, size=n)

@@ -1,12 +1,15 @@
 """Dataset ingestion, partitioning, bootstrap sampling, the synthetic
 generator, and label corruption."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
+from crossdistil import data
 from crossdistil.data import (
     PAIRS,
     QUADS,
@@ -22,6 +25,7 @@ from crossdistil.data import (
     split_dataset,
 )
 from crossdistil.errors import ConfigError, DataError, DegenerateLabels
+from crossdistil.numgrad import sigmoid_values
 
 
 def make_dataset(labels, n_fields=2, vocab=7, seed=0):
@@ -265,6 +269,102 @@ class TestSynthetic:
     def test_non_finite_or_non_number_rejected_by_name(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SynthConfig(**{name: value})
+
+
+def full_bisection(z, target):
+    """The bias bisection with a full-length exact pass at every test, the
+    formula of ``unblocked_synthetic.fit_bias`` in test_golden.py, plus the
+    generator's check that a bias in [-40, 40] can reach the target."""
+    lo, hi = -40.0, 40.0
+    if sigmoid_values(z + lo).mean() > target or sigmoid_values(z + hi).mean() < target:
+        raise ConfigError(f"positive rate {target} unreachable for this utility distribution")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        rate = sigmoid_values(z + mid).mean()
+        if abs(rate - target) < 5e-5:
+            return mid
+        lo, hi = (mid, hi) if rate < target else (lo, mid)
+    raise AssertionError("bisection did not converge")
+
+
+def assert_fits_like_full_bisection(z, target):
+    """``_fit_bias`` returns the full bisection's float bit for bit, or raises its exact error."""
+    try:
+        want = full_bisection(z, target)
+    except ConfigError as e:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(e))}$"):
+            data._fit_bias(z, target)
+        return
+    got = data._fit_bias(z, target)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+class TestFitBias:
+    """The binned rate bounds only skip exact passes: every decision, and so the bias, is the full bisection's."""
+
+    @pytest.mark.parametrize("value", [0.0, 0.7, -3.25, 1e-300])
+    def test_constant_z_has_zero_width(self, value):
+        assert_fits_like_full_bisection(np.full(1000, value), 0.3)
+
+    @pytest.mark.parametrize("outlier", [8.0, 500.0, -1e6])
+    def test_one_outlier_beside_a_tight_cluster(self, rng, outlier):
+        cluster = 1.0 + 1e-6 * rng.normal(size=999)
+        assert_fits_like_full_bisection(np.append(cluster, outlier), 0.3)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e3, 1e12, 1e300, 1e308])
+    @pytest.mark.parametrize("target", [0.3, 0.5, 0.5000001])
+    def test_an_extreme_utility_scale(self, rng, scale, target):
+        """At 1e-310 the bin width is subnormal; at 1e308 some utilities
+        overflow to +-inf, which leaves every pass exact."""
+        with np.errstate(over="ignore"):
+            z = scale * rng.normal(size=2000)
+        assert_fits_like_full_bisection(z, target)
+
+    @pytest.mark.parametrize("target", [1e-3, 0.01, 0.99, 0.999])
+    def test_targets_near_0_and_1(self, rng, target):
+        assert_fits_like_full_bisection(2.0 * rng.normal(size=20_000), target)
+
+    @pytest.mark.parametrize("target", [0.3, 0.5, 0.7])
+    def test_a_root_inside_one_bin(self, rng, target):
+        """Two outliers stretch the bins to about 5e-3 wide, and all the other
+        rows sit within 1e-5 of 0, inside one bin (0 is 0.86 of a width past
+        an edge), so near the root the bounds cannot decide."""
+        z = np.concatenate([[-40.0, 41.0], 1e-6 * rng.normal(size=5000)])
+        assert_fits_like_full_bisection(z, target)
+
+    @pytest.mark.parametrize("n", [1, data._BLOCK_ROWS - 1, data._BLOCK_ROWS + 1])
+    def test_sizes_around_the_row_block(self, rng, n):
+        z = 2.0 * rng.normal(size=n)
+        for target in (0.3, 0.25):
+            assert_fits_like_full_bisection(z, target)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unreachable_rate_on_either_side(self, rng, sign):
+        """Utilities far above 40 overshoot at the lowest bias, far below -40 undershoot at the highest."""
+        z = sign * (100.0 + np.abs(rng.normal(size=500)))
+        with pytest.raises(ConfigError, match=r"^positive rate 0\.3 unreachable for this utility distribution$"):
+            data._fit_bias(z, 0.3)
+        assert_fits_like_full_bisection(z, 0.3)
+
+    def test_most_steps_take_no_exact_pass(self, rng, monkeypatch):
+        """The full bisection hands the sigmoid about 17 times z's rows; the bounds leave at most 5."""
+        z = 2.0 * rng.normal(size=50_000)
+        for target in (0.3, 0.25):
+            seen = []
+            monkeypatch.setattr(data, "_sigmoid", lambda x: seen.append(np.size(x)) or sigmoid_values(x))
+            got = data._fit_bias(z, target)
+            monkeypatch.undo()
+            assert sum(seen) <= 5 * z.size
+            assert got == full_bisection(z, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["normal", "ties", "heavy"]), st.integers(1, 3000), st.floats(0.05, 20.0),
+           st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+    def test_matches_the_full_bisection(self, kind, n, scale, target, seed):
+        rng = np.random.default_rng(seed)
+        draw = {"normal": lambda: rng.normal(size=n), "ties": lambda: rng.integers(-3, 4, size=n) / 2.0,
+                "heavy": lambda: rng.standard_t(1.5, size=n)}[kind]
+        assert_fits_like_full_bisection(scale * draw(), target)
 
 
 class TestCorruptLabels:
